@@ -22,10 +22,12 @@ use std::collections::BTreeSet;
 use multimap_core::{BoxRegion, Coord, GridSpec};
 use multimap_disksim::{DiskGeometry, ServiceLog, BACKEND_NAMES};
 use multimap_lvm::backend_volume;
-use multimap_query::{BackendExecutor, QueryError, QueryOp, QueryRequest, QueryResult};
+use multimap_query::{QueryError, QueryExecutor, QueryOp, QueryRequest, QueryResult};
 use multimap_telemetry::{Counter, Metrics};
 
-use crate::differential::{check_telemetry, standard_mappings, TELEMETRY_SUM_EPS_MS};
+use crate::differential::{
+    check_telemetry, fetched_cells, standard_mappings, TELEMETRY_SUM_EPS_MS,
+};
 use crate::oracle::check_log;
 
 /// What one backend did for one mapping's query.
@@ -66,7 +68,7 @@ pub fn backend_differential_query(
     }
     let outcomes = multimap_engine::sweep(&items, |(backend, mapping)| {
         let volume = backend_volume(backend, geom, 1)?;
-        let exec = BackendExecutor::new(&volume, 0);
+        let exec = QueryExecutor::new(&volume, 0);
         let mut log = ServiceLog::new();
         let mut metrics = Metrics::new();
         let result = {
@@ -78,14 +80,7 @@ pub fn backend_differential_query(
                     .with_sink(&mut metrics),
             )?
         };
-        let mut cells = BTreeSet::new();
-        for e in log.events() {
-            for lbn in e.request.lbn..e.request.end() {
-                if let Some(c) = mapping.coord_of(lbn) {
-                    cells.insert(c);
-                }
-            }
-        }
+        let cells = fetched_cells(mapping.as_ref(), &log);
         let counters = volume.counters(0)?;
         Ok(BackendOutcome {
             backend,
@@ -114,19 +109,11 @@ fn counter(o: &BackendOutcome, name: &str) -> u64 {
 /// this audits what each backend's counters and event sums must obey.
 fn check_backend_outcome(geom: &DiskGeometry, o: &BackendOutcome) -> Result<(), String> {
     let label = format!("{}/{}", o.backend, o.mapping);
-    let serviced = o.metrics.counter_value(Counter::RequestsServiced);
-    if serviced != o.result.requests {
-        return Err(format!(
-            "{label}: telemetry saw {serviced} serviced requests, \
-             the executor reported {}",
-            o.result.requests
-        ));
-    }
+    check_backend_telemetry(o.backend, &label, &o.metrics, &o.result)?;
     match o.backend {
-        // Event-sum backends: phases reconstruct the total exactly, and
-        // the rotating backend additionally passes the physics oracle.
+        // Event-sum backends: the rotating backend additionally passes
+        // the physics oracle.
         "disk" | "imr" => {
-            check_telemetry(&label, &o.metrics, &o.result)?;
             if o.backend == "disk" {
                 let report = check_log(geom, &o.log);
                 if !report.is_clean() {
@@ -146,17 +133,9 @@ fn check_backend_outcome(geom: &DiskGeometry, o: &BackendOutcome) -> Result<(), 
                 ));
             }
         }
-        // Parallel-channel backend: service overlaps, so the makespan
-        // is bounded by (not equal to) the per-event busy sum, and the
-        // per-channel counters partition the request count exactly.
+        // Parallel-channel backend: the per-channel counters partition
+        // the request count exactly.
         "ssd" => {
-            let busy_sum = o.metrics.phase_sum_ms();
-            if o.result.total_io_ms > busy_sum + TELEMETRY_SUM_EPS_MS {
-                return Err(format!(
-                    "{label}: makespan {} ms exceeds the per-event busy sum {busy_sum} ms",
-                    o.result.total_io_ms
-                ));
-            }
             let ssd_requests = counter(o, "ssd.requests");
             if ssd_requests != o.result.requests {
                 return Err(format!(
@@ -176,6 +155,38 @@ fn check_backend_outcome(geom: &DiskGeometry, o: &BackendOutcome) -> Result<(), 
             }
         }
         other => return Err(format!("{label}: unknown backend {other:?} in matrix")),
+    }
+    Ok(())
+}
+
+/// Reconcile a query's telemetry with its result under `backend`'s
+/// timing semantics. Event-sum backends (disk, IMR) must reconstruct the
+/// total exactly ([`check_telemetry`]). On the multi-queue SSD service
+/// overlaps across channels, so the total is a makespan bounded by (not
+/// equal to) the per-event busy sum; the serviced-request count still
+/// reconciles exactly.
+pub(crate) fn check_backend_telemetry(
+    backend: &str,
+    label: &str,
+    metrics: &Metrics,
+    result: &QueryResult,
+) -> Result<(), String> {
+    if backend != "ssd" {
+        return check_telemetry(label, metrics, result);
+    }
+    let busy_sum = metrics.phase_sum_ms();
+    if result.total_io_ms > busy_sum + TELEMETRY_SUM_EPS_MS {
+        return Err(format!(
+            "{label}: makespan {} ms exceeds the per-event busy sum {busy_sum} ms",
+            result.total_io_ms
+        ));
+    }
+    let serviced = metrics.counter_value(Counter::RequestsServiced);
+    if serviced != result.requests {
+        return Err(format!(
+            "{label}: telemetry saw {serviced} serviced requests, the executor reported {}",
+            result.requests
+        ));
     }
     Ok(())
 }

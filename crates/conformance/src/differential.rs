@@ -16,7 +16,7 @@ use multimap_core::{
     hilbert_mapping, zorder_mapping, BoxRegion, Coord, GridSpec, Mapping, MultiMapping,
     NaiveMapping,
 };
-use multimap_disksim::DiskGeometry;
+use multimap_disksim::{DiskGeometry, ServiceLog};
 use multimap_lvm::LogicalVolume;
 use multimap_model::{
     multimap_beam_per_cell_ms, multimap_range_total_ms, naive_beam_per_cell_ms,
@@ -50,6 +50,16 @@ pub fn standard_mappings(geom: &DiskGeometry, grid: &GridSpec) -> Vec<Box<dyn Ma
         // staticcheck: allow(no-unwrap) — same setup-breakage argument as the curve lines above.
         Box::new(MultiMapping::new(geom, grid.clone()).expect("multimap mapping must build")),
     ]
+}
+
+/// The distinct dataset cells a service log transferred, recovered from
+/// the serviced LBNs through the mapping's inverse.
+pub(crate) fn fetched_cells(mapping: &dyn Mapping, log: &ServiceLog) -> BTreeSet<Coord> {
+    log.events()
+        .iter()
+        .flat_map(|e| e.request.lbn..e.request.end())
+        .filter_map(|lbn| mapping.coord_of(lbn))
+        .collect()
 }
 
 /// What one mapping did for one query.
@@ -95,14 +105,7 @@ pub fn differential_query(
                     .with_sink(&mut metrics),
             )?
         };
-        let mut cells = BTreeSet::new();
-        for e in log.events() {
-            for lbn in e.request.lbn..e.request.end() {
-                if let Some(c) = mapping.coord_of(lbn) {
-                    cells.insert(c);
-                }
-            }
-        }
+        let cells = fetched_cells(mapping.as_ref(), &log);
         Ok(DifferentialOutcome {
             mapping: mapping.name().to_string(),
             cells,

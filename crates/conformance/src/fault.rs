@@ -28,7 +28,7 @@ use multimap_query::{QueryError, QueryExecutor, QueryOp, QueryRequest, QueryResu
 use multimap_telemetry::{Counter, Metrics};
 
 use crate::oracle::{check_log, OracleReport};
-use crate::differential::standard_mappings;
+use crate::differential::{fetched_cells, standard_mappings};
 
 /// What one mapping did for one query, fault-free versus faulted.
 #[derive(Debug)]
@@ -86,14 +86,7 @@ pub fn fault_query(
                     .with_sink(&mut metrics),
             )?
         };
-        let mut cells = BTreeSet::new();
-        for e in log.events() {
-            for lbn in e.request.lbn..e.request.end() {
-                if let Some(c) = mapping.coord_of(lbn) {
-                    cells.insert(c);
-                }
-            }
-        }
+        let cells = fetched_cells(mapping.as_ref(), &log);
         let oracle = check_log(geom, &log);
         let remaps = volume.remap_count(0).map_err(QueryError::from)?;
         Ok(FaultRow {

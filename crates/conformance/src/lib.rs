@@ -23,12 +23,13 @@
 //! * **Fault sweep** ([`fault`]): under any seeded [`FaultPlan`] every
 //!   query's delivered payload must be byte-identical to the fault-free
 //!   run, and the fault/retry/remap counters must reconcile exactly
-//!   across the injector, the LVM recovery path, telemetry and a pure
+//!   across the injector, the recovery decorator, telemetry and a pure
 //!   replay of the transient schedule.
-//! * **Cache conformance** ([`cache`]): the page cache is transparent
-//!   to results — cached queries return the same cells and payload as
-//!   bare ones — and its counters reconcile exactly between the
-//!   executor's telemetry and the cache's own bookkeeping.
+//! * **Cache conformance** ([`cache`]): on every device backend the
+//!   page cache is transparent to results — cached queries return the
+//!   same cells and payload as bare ones — and its counters reconcile
+//!   exactly between the executor's telemetry and the cache's own
+//!   bookkeeping.
 //! * **Serving conformance** ([`serving`]): a multi-tenant serving
 //!   [`Scenario`](multimap_server::Scenario) replayed twice produces
 //!   bit-identical reports; per-tenant admission counters partition

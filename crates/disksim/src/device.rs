@@ -23,7 +23,7 @@
 //! perf/figures binaries can select one with a CLI flag.
 
 use crate::error::{DiskError, Result};
-use crate::geometry::DiskGeometry;
+use crate::geometry::{DiskGeometry, Lbn};
 use crate::imr::{ImrConfig, ImrModel};
 use crate::observe::{ServiceEvent, Transition};
 use crate::scheduler::{plain_serve, service_batch_serving, BatchTiming, Discipline};
@@ -134,6 +134,13 @@ pub trait DeviceModel: Send {
     fn counters(&self) -> Vec<(String, u64)> {
         Vec::new()
     }
+
+    /// Whether any block of `[lbn, lbn + nblocks)` has been remapped
+    /// away from its home position, losing the adjacency the layout
+    /// promised. Only a recovery layer remaps; bare backends never do.
+    fn is_remapped(&self, _lbn: Lbn, _nblocks: u64) -> bool {
+        false
+    }
 }
 
 impl<D: DeviceModel + ?Sized> DeviceModel for Box<D> {
@@ -189,6 +196,9 @@ impl<D: DeviceModel + ?Sized> DeviceModel for Box<D> {
     }
     fn counters(&self) -> Vec<(String, u64)> {
         (**self).counters()
+    }
+    fn is_remapped(&self, lbn: Lbn, nblocks: u64) -> bool {
+        (**self).is_remapped(lbn, nblocks)
     }
 }
 

@@ -75,6 +75,20 @@ pub enum DiskError {
         /// The unrecognized backend name.
         name: String,
     },
+    /// A transient fault persisted through a recovery layer's retry
+    /// budget.
+    RetriesExhausted {
+        /// First LBN of the failing physical segment.
+        lbn: Lbn,
+        /// Retries that were attempted before giving up.
+        attempts: u32,
+    },
+    /// A hard-failed block could not be remapped: its track's spare
+    /// region is fully allocated.
+    SpareExhausted {
+        /// The logical block that could not be remapped.
+        lbn: Lbn,
+    },
 }
 
 impl fmt::Display for DiskError {
@@ -117,6 +131,14 @@ impl fmt::Display for DiskError {
             DiskError::UnknownBackend { name } => {
                 write!(f, "unknown device backend {name:?} (known: disk, ssd, imr)")
             }
+            DiskError::RetriesExhausted { lbn, attempts } => write!(
+                f,
+                "transient fault at LBN {lbn} persisted through {attempts} retries"
+            ),
+            DiskError::SpareExhausted { lbn } => write!(
+                f,
+                "no spare sectors left on the track of LBN {lbn} for remapping"
+            ),
         }
     }
 }

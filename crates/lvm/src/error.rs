@@ -9,7 +9,7 @@ use std::fmt;
 
 use multimap_disksim::DiskError;
 
-/// Errors raised by [`LogicalVolume`](crate::LogicalVolume) operations.
+/// Errors raised by [`Volume`](crate::Volume) operations.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum LvmError {
     /// The requested disk index does not exist in this volume.
@@ -25,19 +25,6 @@ pub enum LvmError {
     EmptyVolume,
     /// A striped volume cannot use a zero-block stripe unit.
     ZeroStripeUnit,
-    /// A transient fault persisted through the configured retry budget.
-    RetriesExhausted {
-        /// First LBN of the failing physical segment.
-        lbn: u64,
-        /// Retries that were attempted before giving up.
-        attempts: u32,
-    },
-    /// A hard-failed block could not be remapped: its track's spare
-    /// region is fully allocated.
-    SpareExhausted {
-        /// The logical block that could not be remapped.
-        lbn: u64,
-    },
 }
 
 impl fmt::Display for LvmError {
@@ -49,14 +36,6 @@ impl fmt::Display for LvmError {
             LvmError::Disk(e) => write!(f, "disk error: {e}"),
             LvmError::EmptyVolume => write!(f, "a volume needs at least one disk"),
             LvmError::ZeroStripeUnit => write!(f, "stripe unit must be at least one block"),
-            LvmError::RetriesExhausted { lbn, attempts } => write!(
-                f,
-                "transient fault at LBN {lbn} persisted through {attempts} retries"
-            ),
-            LvmError::SpareExhausted { lbn } => write!(
-                f,
-                "no spare sectors left on the track of LBN {lbn} for remapping"
-            ),
         }
     }
 }

@@ -4,8 +4,13 @@
 //! volume manager that (a) exports a logical volume striped across
 //! multiple disks at basic-cube granularity and (b) exposes the adjacency
 //! model to applications through two interface calls, reproduced here as
-//! [`LogicalVolume::get_adjacent`] and
-//! [`LogicalVolume::get_track_boundaries`].
+//! [`Volume::get_adjacent`] and [`Volume::get_track_boundaries`].
+//!
+//! [`Volume`] is generic over the [`multimap_disksim::DeviceModel`]
+//! backend: [`LogicalVolume`] is the rotating-disk volume,
+//! [`backend_volume`] builds one over registry-selected backends, and
+//! [`LogicalVolume::with_recovery`] wraps every disk in the
+//! [`Recovering`] decorator (bounded retry + bad-block remapping).
 //!
 //! Time is simulated, so multi-disk parallelism needs no threads: a
 //! striped batch is serviced per disk and the volume reports the
@@ -28,15 +33,13 @@
 #![warn(missing_docs)]
 
 pub mod decluster;
-pub mod devices;
 pub mod error;
 pub mod recovery;
 pub mod striped;
 pub mod volume;
 
 pub use decluster::{Cyclic, Declustering, RoundRobin};
-pub use devices::{backend_volume, DeviceVolume};
 pub use error::{LvmError, Result};
-pub use recovery::{RecoveryConfig, RecoveryStats, RemapTable};
+pub use recovery::{Recovering, RecoveryConfig, RecoveryStats, RemapTable};
 pub use striped::{StripedVolume, VolumeLbn};
-pub use volume::{LogicalVolume, SchedulePolicy, VolumeBatchTiming};
+pub use volume::{backend_volume, LogicalVolume, SchedulePolicy, Volume, VolumeBatchTiming};

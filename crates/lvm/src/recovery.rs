@@ -8,12 +8,13 @@
 //!
 //! * the **disk** ([`multimap_disksim::FaultPlan`]) injects faults and
 //!   reports them as typed errors, charging the wall-clock they burn;
-//! * the **volume** retries transients (with a linearly growing,
-//!   deterministic backoff) and remaps hard-failed blocks into spare
-//!   sectors reserved at the tail of the failing block's own track,
-//!   keeping track locality but giving up the adjacency guarantee for
-//!   that block;
-//! * the **query executor** consults [`RemapTable`] occupancy to route
+//! * the **[`Recovering`] decorator** wraps that disk as a
+//!   [`DeviceModel`] of its own: it retries transients (with a linearly
+//!   growing, deterministic backoff) and remaps hard-failed blocks into
+//!   spare sectors reserved at the tail of the failing block's own
+//!   track, keeping track locality but giving up the adjacency
+//!   guarantee for that block;
+//! * the **query executor** asks [`DeviceModel::is_remapped`] to route
 //!   cells that lost adjacency through scheduled seeks instead of
 //!   semi-sequential hops.
 //!
@@ -24,23 +25,23 @@
 use std::collections::BTreeMap;
 
 use multimap_disksim::{
-    DiskError, DiskGeometry, DiskSim, FaultOutcome, Lbn, Request, RequestTiming,
+    service_batch_serving, AccessKind, AccessStats, BatchTiming, DeviceModel, Discipline,
+    DiskError, DiskGeometry, DiskSim, FaultCounts, FaultOutcome, Lbn, Request, RequestTiming,
+    ServiceEvent, Transition,
 };
 
-use crate::error::LvmError;
-
-/// Tunables for the volume's recovery path.
+/// Tunables for the [`Recovering`] decorator.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RecoveryConfig {
     /// Retries allowed per physical segment before
-    /// [`LvmError::RetriesExhausted`]. Must be at least the fault plan's
+    /// [`DiskError::RetriesExhausted`]. Must be at least the fault plan's
     /// consecutive-transient cap for recovery to be guaranteed.
     pub max_retries: u32,
     /// Backoff base: the `k`-th retry of a segment idles the disk for
     /// `k * backoff_ms` first (deterministic, so replays are exact).
     pub backoff_ms: f64,
     /// Spare sectors reserved at the tail of every track for bad-block
-    /// remapping; [`LvmError::SpareExhausted`] when a track runs out.
+    /// remapping; [`DiskError::SpareExhausted`] when a track runs out.
     pub spare_per_track: u32,
 }
 
@@ -54,7 +55,7 @@ impl Default for RecoveryConfig {
     }
 }
 
-/// Cumulative recovery actions taken by one volume (or one disk of it).
+/// Cumulative recovery actions taken by one device (or a volume of them).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RecoveryStats {
     /// Transient timeouts absorbed.
@@ -144,14 +145,14 @@ impl RemapTable {
         geom: &DiskGeometry,
         cfg: &RecoveryConfig,
         bad: Lbn,
-    ) -> Result<Lbn, LvmError> {
+    ) -> Result<Lbn, DiskError> {
         let logical = self.reverse.get(&bad).copied().unwrap_or(bad);
         let (first, last) = geom.track_boundaries(logical)?;
         let track_len = last - first + 1;
         loop {
             let used = self.used.entry(first).or_insert(0);
             if u64::from(*used) >= u64::from(cfg.spare_per_track).min(track_len) {
-                return Err(LvmError::SpareExhausted { lbn: logical });
+                return Err(DiskError::SpareExhausted { lbn: logical });
             }
             let spare = last - u64::from(*used);
             *used += 1;
@@ -175,19 +176,18 @@ impl RemapTable {
 /// the fly. Returns the successful attempts' timing plus the
 /// [`FaultOutcome`] accounting for everything else.
 ///
-/// Unrecoverable conditions surface as [`LvmError::RetriesExhausted`] /
-/// [`LvmError::SpareExhausted`]; malformed requests propagate the
+/// Unrecoverable conditions surface as [`DiskError::RetriesExhausted`] /
+/// [`DiskError::SpareExhausted`]; malformed requests propagate the
 /// underlying [`DiskError`] unchanged.
-pub(crate) fn recovering_serve(
-    geom: &DiskGeometry,
+fn recovering_serve(
     cfg: &RecoveryConfig,
     remap: &mut RemapTable,
     stats: &mut RecoveryStats,
     sim: &mut DiskSim,
     req: Request,
-) -> Result<(RequestTiming, FaultOutcome), LvmError> {
+) -> Result<(RequestTiming, FaultOutcome), DiskError> {
     if req.nblocks == 0 {
-        return Err(LvmError::Disk(DiskError::EmptyRequest));
+        return Err(DiskError::EmptyRequest);
     }
     let start_ms = sim.state().time_ms;
     let slow_before = sim.fault_counts().slow_reads;
@@ -215,7 +215,7 @@ pub(crate) fn recovering_serve(
                 outcome.transients += 1;
                 stats.transients += 1;
                 if attempts >= cfg.max_retries {
-                    return Err(LvmError::RetriesExhausted {
+                    return Err(DiskError::RetriesExhausted {
                         lbn: seg.lbn,
                         attempts,
                     });
@@ -230,14 +230,14 @@ pub(crate) fn recovering_serve(
             Err(DiskError::MediaError { lbn: bad }) => {
                 outcome.media_errors += 1;
                 stats.media_errors += 1;
-                remap.remap(geom, cfg, bad)?;
+                remap.remap(sim.geometry(), cfg, bad)?;
                 outcome.remaps += 1;
                 stats.remaps += 1;
                 // Loop again: the next first_segment reflects the new
                 // mapping. Blocks the failed command delivered before
                 // hitting `bad` are conservatively re-read.
             }
-            Err(e) => return Err(LvmError::Disk(e)),
+            Err(e) => return Err(e),
         }
     }
     let slow_delta = sim.fault_counts().slow_reads - slow_before;
@@ -251,6 +251,137 @@ pub(crate) fn recovering_serve(
         outcome.recovery_ms = (sim.state().time_ms - start_ms) - total.total_ms();
     }
     Ok((total, outcome))
+}
+
+/// A rotating disk with bounded retry and bad-block remapping layered
+/// on top: a [`DeviceModel`] decorator around a [`DiskSim`] that carries
+/// its own [`multimap_disksim::FaultPlan`].
+///
+/// Reads (single and batched) run through the recovery path, so the
+/// scheduler sees each logical request succeed or fail as a whole, with
+/// the recovery cost in [`FaultOutcome::recovery_ms`]. Writes pass
+/// through to the disk unchanged. With an empty plan every read takes
+/// the recovery path yet costs not a single extra float operation — the
+/// timing is bit-identical to the bare disk.
+pub struct Recovering {
+    sim: DiskSim,
+    cfg: RecoveryConfig,
+    remap: RemapTable,
+    stats: RecoveryStats,
+}
+
+impl Recovering {
+    /// Wrap `sim` (with whatever fault plan it carries) in the recovery
+    /// path configured by `cfg`.
+    pub fn new(sim: DiskSim, cfg: RecoveryConfig) -> Self {
+        Recovering {
+            sim,
+            cfg,
+            remap: RemapTable::default(),
+            stats: RecoveryStats::default(),
+        }
+    }
+
+    /// Recovery actions taken so far.
+    pub fn recovery_stats(&self) -> RecoveryStats {
+        self.stats
+    }
+
+    /// The bad-block remap table built so far.
+    pub fn remap_table(&self) -> &RemapTable {
+        &self.remap
+    }
+
+    /// Faults the wrapped disk injected so far.
+    pub fn injected_counts(&self) -> FaultCounts {
+        self.sim.fault_counts()
+    }
+}
+
+impl DeviceModel for Recovering {
+    fn name(&self) -> &'static str {
+        self.sim.name()
+    }
+
+    fn capacity_blocks(&self) -> u64 {
+        self.sim.capacity_blocks()
+    }
+
+    fn now_ms(&self) -> f64 {
+        self.sim.now_ms()
+    }
+
+    /// Reads are retried/remapped as needed, and the returned timing
+    /// folds the recovery time into `overhead_ms`, so the total still
+    /// reflects the wall-clock the disk was busy.
+    fn service_kind(&mut self, req: Request, kind: AccessKind) -> Result<RequestTiming, DiskError> {
+        if kind == AccessKind::Write {
+            return DeviceModel::service_kind(&mut self.sim, req, kind);
+        }
+        let (mut t, outcome) =
+            recovering_serve(&self.cfg, &mut self.remap, &mut self.stats, &mut self.sim, req)?;
+        if !outcome.is_clean() {
+            t.overhead_ms += outcome.recovery_ms;
+        }
+        Ok(t)
+    }
+
+    fn estimate(&self, req: Request) -> Result<f64, DiskError> {
+        DeviceModel::estimate(&self.sim, req)
+    }
+
+    fn service_batch_observed(
+        &mut self,
+        requests: &[Request],
+        discipline: Discipline,
+        observe: &mut dyn FnMut(ServiceEvent),
+    ) -> Result<BatchTiming, DiskError> {
+        let Recovering {
+            sim,
+            cfg,
+            remap,
+            stats,
+        } = self;
+        let mut serve = |sim: &mut DiskSim, req: Request| recovering_serve(cfg, remap, stats, sim, req);
+        service_batch_serving(sim, requests, discipline, &mut serve, observe)
+    }
+
+    fn classify(&self, event: &ServiceEvent) -> Transition {
+        self.sim.classify(event)
+    }
+
+    fn idle(&mut self, ms: f64) {
+        DeviceModel::idle(&mut self.sim, ms)
+    }
+
+    /// A full return to the freshly-constructed state: the disk (time,
+    /// head, statistics, fault schedule), the remap table and the
+    /// recovery statistics.
+    fn reset(&mut self) {
+        DeviceModel::reset(&mut self.sim);
+        self.remap = RemapTable::default();
+        self.stats = RecoveryStats::default();
+    }
+
+    fn reset_stats(&mut self) {
+        DeviceModel::reset_stats(&mut self.sim)
+    }
+
+    fn stats(&self) -> AccessStats {
+        DeviceModel::stats(&self.sim)
+    }
+
+    fn geometry(&self) -> Option<&DiskGeometry> {
+        DeviceModel::geometry(&self.sim)
+    }
+
+    fn counters(&self) -> Vec<(String, u64)> {
+        self.sim.counters()
+    }
+
+    fn is_remapped(&self, lbn: Lbn, nblocks: u64) -> bool {
+        self.remap.overlaps(lbn, nblocks)
+    }
 }
 
 #[cfg(test)]
@@ -301,7 +432,7 @@ mod tests {
         t.remap(&g, &cfg, 100).unwrap();
         t.remap(&g, &cfg, 101).unwrap();
         let err = t.remap(&g, &cfg, 102).unwrap_err();
-        assert!(matches!(err, LvmError::SpareExhausted { .. }), "{err:?}");
+        assert!(matches!(err, DiskError::SpareExhausted { .. }), "{err:?}");
     }
 
     #[test]
@@ -327,7 +458,7 @@ mod tests {
         let mut plain = DiskSim::new(g.clone());
         let req = Request::new(500, 8);
         let (t, o) =
-            recovering_serve(&g, &cfg, &mut remap, &mut stats, &mut sim, req).unwrap();
+            recovering_serve(&cfg, &mut remap, &mut stats, &mut sim, req).unwrap();
         let tp = plain.service(req).unwrap();
         assert!(o.is_clean());
         assert_eq!(t.total_ms().to_bits(), tp.total_ms().to_bits());
@@ -349,7 +480,7 @@ mod tests {
         let req = Request::new(500, 4);
         let before = sim.state().time_ms;
         let (t, o) =
-            recovering_serve(&g, &cfg, &mut remap, &mut stats, &mut sim, req).unwrap();
+            recovering_serve(&cfg, &mut remap, &mut stats, &mut sim, req).unwrap();
         assert_eq!(o.transients, 2);
         assert_eq!(o.retries, 2);
         assert_eq!(stats.retries, 2);
@@ -370,7 +501,7 @@ mod tests {
         sim.set_fault_plan(FaultPlan::new(0).with_media_error(502));
         let req = Request::new(500, 6);
         let (_, o) =
-            recovering_serve(&g, &cfg, &mut remap, &mut stats, &mut sim, req).unwrap();
+            recovering_serve(&cfg, &mut remap, &mut stats, &mut sim, req).unwrap();
         assert_eq!(o.media_errors, 1);
         assert_eq!(o.remaps, 1);
         assert!(o.extra_segments >= 1, "split around the remapped block");
@@ -379,7 +510,7 @@ mod tests {
         // A later read of the same span goes straight through the remap
         // with no further media errors.
         let (_, o2) =
-            recovering_serve(&g, &cfg, &mut remap, &mut stats, &mut sim, req).unwrap();
+            recovering_serve(&cfg, &mut remap, &mut stats, &mut sim, req).unwrap();
         assert_eq!(o2.media_errors, 0);
         assert!(o2.extra_segments >= 1);
         assert_eq!(stats.media_errors, 1);
@@ -400,8 +531,11 @@ mod tests {
                 .with_transients(1.0, 5.0)
                 .with_max_consecutive_transients(3),
         );
-        let err = recovering_serve(&g, &cfg, &mut remap, &mut stats, &mut sim, Request::single(0))
+        let err = recovering_serve(&cfg, &mut remap, &mut stats, &mut sim, Request::single(0))
             .unwrap_err();
-        assert!(matches!(err, LvmError::RetriesExhausted { .. }), "{err:?}");
+        assert!(
+            matches!(err, DiskError::RetriesExhausted { lbn: 0, attempts: 1 }),
+            "{err:?}"
+        );
     }
 }

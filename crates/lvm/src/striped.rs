@@ -61,12 +61,12 @@ impl StripedVolume {
 
     /// Total volume capacity in blocks.
     pub fn total_blocks(&self) -> u64 {
-        self.volume.geometry().total_blocks() * self.volume.num_disks() as u64
+        self.volume.geometry().total_blocks() * self.volume.num_devices() as u64
     }
 
     /// Translate a volume LBN to `(disk, disk LBN)`.
     pub fn locate(&self, vlbn: VolumeLbn) -> (usize, Lbn) {
-        let n = self.volume.num_disks() as u64;
+        let n = self.volume.num_devices() as u64;
         let stripe = vlbn / self.stripe_blocks;
         let offset = vlbn % self.stripe_blocks;
         let disk = (stripe % n) as usize;
@@ -76,7 +76,7 @@ impl StripedVolume {
 
     /// Inverse of [`Self::locate`].
     pub fn volume_lbn(&self, disk: usize, local: Lbn) -> VolumeLbn {
-        let n = self.volume.num_disks() as u64;
+        let n = self.volume.num_devices() as u64;
         let stripe_on_disk = local / self.stripe_blocks;
         let offset = local % self.stripe_blocks;
         (stripe_on_disk * n + disk as u64) * self.stripe_blocks + offset
@@ -109,7 +109,7 @@ impl StripedVolume {
         vlbns: &[VolumeLbn],
         policy: SchedulePolicy,
     ) -> crate::Result<VolumeBatchTiming> {
-        let ndisks = self.volume.num_disks();
+        let ndisks = self.volume.num_devices();
         let mut per_disk: Vec<Vec<Request>> = vec![Vec::new(); ndisks];
         for &v in vlbns {
             let (disk, local) = self.locate(v);

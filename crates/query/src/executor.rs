@@ -8,19 +8,22 @@
 //! method quartet is gone; [`QueryRequest::beam`] and
 //! [`QueryRequest::range`] are the shorthand constructors.
 //!
-//! The planning pipeline (validate → translate → schedule) is shared
-//! with the backend-generic executor in [`crate::backend`], so a query
-//! issues the identical request batch whichever device model serves it.
+//! The executor is generic over the volume's [`DeviceModel`] backend,
+//! so a query issues the identical request batch whichever device
+//! model serves it — rotating disk, multi-queue SSD, interlaced
+//! magnetic recording, or a disk behind the
+//! [`multimap_lvm::Recovering`] fault-recovery decorator — and the page
+//! cache works on every one of them.
 
 // staticcheck: allow-file(det-wall-clock) — span endpoints recorded here feed telemetry SpanStat fields that the determinism contract explicitly excludes; no simulated timing or serve order ever reads them.
 use std::time::Instant;
 
 use multimap_core::{shared_cache, BoxRegion, GridSpec, Mapping, MappingKind, MIN_CACHED_LOOKUPS};
 use multimap_disksim::{
-    coalesce_sorted, request_payload, BatchTiming, DiskGeometry, Lbn, Request, ServiceEvent,
-    Transition,
+    coalesce_sorted, request_payload, BatchTiming, DeviceModel, DiskSim, Lbn, Request,
+    ServiceEvent, Transition,
 };
-use multimap_lvm::{LogicalVolume, SchedulePolicy};
+use multimap_lvm::{LvmError, SchedulePolicy, Volume};
 use multimap_telemetry::{Counter, MetricsSink, Phase, Span};
 
 use crate::cache::{BlockCache, CacheProbe, PrefetchContext};
@@ -312,23 +315,17 @@ impl QueryResult {
     }
 }
 
-/// Record one serviced request's timing decomposition into a sink.
+/// Record one serviced request's timing decomposition into a sink,
+/// under the transition class the serving device assigned it
+/// ([`DeviceModel::classify`]; on the rotating disk this is the
+/// settle-plateau rule, [`ServiceEvent::transition`]).
 ///
 /// The positioning charge lands in exactly one of [`Phase::Seek`] /
 /// [`Phase::Settle`] (per the transition classification) and zero
 /// charges are skipped, so the five phase sums add up *exactly* to the
 /// batch's total service time — the conformance oracle's cross-check.
-/// Public so other service paths (the store's write-back batcher) can
-/// record the identical decomposition.
-pub fn record_service_event(sink: &mut dyn MetricsSink, geom: &DiskGeometry, e: &ServiceEvent) {
-    record_classified_event(sink, e.transition(geom), e)
-}
-
-/// [`record_service_event`] with the transition classification supplied
-/// by the caller — the form the backend-generic executor uses, where
-/// classification is the backend's job
-/// ([`multimap_disksim::DeviceModel::classify`]) rather than a
-/// settle-plateau comparison against rotating-disk geometry.
+/// Public so other service paths (the store's write-back batcher, the
+/// serving layer) record the identical decomposition.
 pub fn record_classified_event(sink: &mut dyn MetricsSink, transition: Transition, e: &ServiceEvent) {
     let t = e.timing;
     sink.counter(Counter::RequestsServiced, 1);
@@ -373,42 +370,64 @@ pub fn record_classified_event(sink: &mut dyn MetricsSink, transition: Transitio
 /// A hard media error relocates a block into its track's spare region,
 /// so the cell loses the adjacency the mapping promised: semi-sequential
 /// scheduling (SPTF hop chains, prefetch runs) no longer describes its
-/// true position. When the disk carries remaps, requests overlapping a
-/// remapped range are pulled out of the primary batch and served
-/// afterwards as plain scheduled seeks in ascending LBN order; healthy
-/// requests keep the chosen policy. On a disk with no remaps (including
-/// every fault-free run) this is exactly one batch under `policy` —
-/// byte-identical to the pre-fault-injection executor.
-fn serve_split_degraded(
-    volume: &LogicalVolume,
-    disk: usize,
+/// true position. When the device reports remaps
+/// ([`DeviceModel::is_remapped`]), requests overlapping a remapped range
+/// are pulled out of the primary batch and served afterwards as plain
+/// scheduled seeks in ascending LBN order; healthy requests keep the
+/// chosen policy. On a device with no remaps (including every
+/// fault-free run and every backend without a recovery layer) this is
+/// exactly one batch under `policy`.
+fn serve_split_degraded<D: DeviceModel>(
+    dev: &mut D,
     requests: &[Request],
     policy: SchedulePolicy,
-    record: &mut dyn FnMut(ServiceEvent),
+    observe: &mut dyn FnMut(ServiceEvent),
+) -> multimap_disksim::Result<BatchTiming> {
+    if requests.iter().any(|r| dev.is_remapped(r.lbn, r.nblocks)) {
+        let (degraded, healthy): (Vec<Request>, Vec<Request>) = requests
+            .iter()
+            .partition(|r| dev.is_remapped(r.lbn, r.nblocks));
+        let mut batch = dev.service_batch_observed(&healthy, policy, observe)?;
+        let tail = dev.service_batch_observed(&degraded, SchedulePolicy::AscendingLbn, observe)?;
+        batch.merge(&tail);
+        return Ok(batch);
+    }
+    dev.service_batch_observed(requests, policy, observe)
+}
+
+/// Serve a batch on one device under a single lock acquisition, feeding
+/// every [`ServiceEvent`] to the optional observer and sink.
+///
+/// Without a sink the observer is handed straight to the scheduler.
+/// With one, the events are collected, then classified by the device
+/// ([`DeviceModel::classify`]) and recorded in service order — events
+/// served before an error are still recorded.
+fn serve_batch<D: DeviceModel>(
+    volume: &Volume<D>,
+    device: usize,
+    requests: &[Request],
+    policy: SchedulePolicy,
+    observer: &mut Option<&mut (dyn FnMut(ServiceEvent) + '_)>,
+    sink: Option<&mut (dyn MetricsSink + '_)>,
 ) -> Result<BatchTiming> {
-    if volume.has_recovery() && volume.remap_count(disk)? > 0 {
-        let mut healthy = Vec::with_capacity(requests.len());
-        let mut degraded = Vec::new();
-        for &r in requests {
-            if volume.is_degraded_range(disk, r.lbn, r.nblocks)? {
-                degraded.push(r);
-            } else {
-                healthy.push(r);
+    let served = volume.with_device(device, |dev| {
+        let Some(sink) = sink else {
+            return match observer.as_deref_mut() {
+                Some(o) => serve_split_degraded(dev, requests, policy, o),
+                None => serve_split_degraded(dev, requests, policy, &mut |_| {}),
+            };
+        };
+        let mut events = Vec::new();
+        let batch = serve_split_degraded(dev, requests, policy, &mut |e| events.push(e));
+        for e in &events {
+            record_classified_event(sink, dev.classify(e), e);
+            if let Some(o) = observer.as_mut() {
+                o(*e);
             }
         }
-        if !degraded.is_empty() {
-            let mut batch = volume.service_batch_observed(disk, &healthy, policy, record)?;
-            let tail = volume.service_batch_observed(
-                disk,
-                &degraded,
-                SchedulePolicy::AscendingLbn,
-                record,
-            )?;
-            batch.merge(&tail);
-            return Ok(batch);
-        }
-    }
-    Ok(volume.service_batch_observed(disk, requests, policy, record)?)
+        batch
+    })?;
+    Ok(served.map_err(LvmError::from)?)
 }
 
 /// Record a batch's scheduler-internal counters into a sink (the tail
@@ -422,22 +441,52 @@ pub(crate) fn record_sched_stats(s: &mut dyn MetricsSink, batch: &BatchTiming) {
     s.counter(Counter::SptfSelectorRepair, batch.sched.selector_repairs);
 }
 
-/// The translated, policy-resolved inputs [`QueryExecutor::execute`]
-/// hands to the cached service path.
-struct CachedPlan<'a> {
-    mapping: &'a dyn Mapping,
-    region: &'a BoxRegion,
-    op: QueryOp,
-    beam_policy: Option<SchedulePolicy>,
-    cell_blocks: u64,
-    lbns: Vec<Lbn>,
+/// What probing an attached [`BlockCache`] decided for one query.
+struct Probed {
+    /// Demanded cell-start LBNs that missed, in demand order.
+    missed: Vec<Lbn>,
+    /// Page starts the cache wants prefetched in the same batch.
+    prefetch: Vec<Lbn>,
+    hits: u64,
+    prefetch_used: u64,
+    /// Payload of every demanded cell, cached or fetched.
+    payload: u64,
 }
 
-/// Span bookkeeping carried into the cached service path (the schedule
-/// span opens before the probe loop, in `execute`).
-struct CachedServiceTiming {
-    timed: bool,
-    t_schedule: Option<Instant>,
+/// Probe `cache` for every cell of `ctx.demand` and plan its prefetch
+/// (`ctx.missed` is ignored: the probe fills it in).
+///
+/// The delivered data is the same whether a cell came from a resident
+/// page or a fresh read, and `request_payload` is a pure per-block sum —
+/// so charging every demanded cell keeps the payload bit-identical to an
+/// uncached run of the query.
+fn probe_cache(cache: &dyn BlockCache, ctx: PrefetchContext<'_>, cell_blocks: u64) -> Probed {
+    let mut probed = Probed {
+        missed: Vec::new(),
+        prefetch: Vec::new(),
+        hits: 0,
+        prefetch_used: 0,
+        payload: 0,
+    };
+    for &l in ctx.demand {
+        probed.payload = probed
+            .payload
+            .wrapping_add(request_payload(Request::new(l, cell_blocks)));
+        match cache.probe(l) {
+            CacheProbe::Hit { first_prefetch_use } => {
+                probed.hits += 1;
+                probed.prefetch_used += u64::from(first_prefetch_use);
+            }
+            CacheProbe::Miss => probed.missed.push(l),
+        }
+    }
+    // Plan prefetch — even on an all-hit query, so stream detection
+    // keeps tracking the query sequence and can run ahead of it.
+    probed.prefetch = cache.plan_prefetch(&PrefetchContext {
+        missed: &probed.missed,
+        ..ctx
+    });
+    probed
 }
 
 /// Close a span opened with `Instant::now()` (no-op without a sink).
@@ -447,22 +496,37 @@ fn finish_span(sink: &mut Option<&mut dyn MetricsSink>, span: Span, started: Opt
     }
 }
 
-/// Executes beam and range queries for one mapping on one disk of a
-/// logical volume.
-pub struct QueryExecutor<'a> {
-    volume: &'a LogicalVolume,
+/// Executes beam and range queries on one device of a [`Volume`] over
+/// any [`DeviceModel`] backend (the rotating disk by default).
+///
+/// ```
+/// use multimap_core::{BoxRegion, GridSpec, NaiveMapping};
+/// use multimap_disksim::profiles;
+/// use multimap_lvm::backend_volume;
+/// use multimap_query::{QueryExecutor, QueryRequest};
+///
+/// let volume = backend_volume("ssd", &profiles::small(), 1).unwrap();
+/// let grid = GridSpec::new([60u64, 8, 6]);
+/// let mapping = NaiveMapping::new(grid.clone(), 0);
+/// let result = QueryExecutor::new(&volume, 0)
+///     .execute(QueryRequest::beam(&mapping, &BoxRegion::beam(&grid, 1, &[3, 0, 2])))
+///     .unwrap();
+/// assert_eq!(result.cells, 8);
+/// ```
+pub struct QueryExecutor<'a, D: DeviceModel = DiskSim> {
+    volume: &'a Volume<D>,
     disk: usize,
     options: ExecOptions,
 }
 
-impl<'a> QueryExecutor<'a> {
+impl<'a, D: DeviceModel> QueryExecutor<'a, D> {
     /// Executor with default (paper) options.
-    pub fn new(volume: &'a LogicalVolume, disk: usize) -> Self {
+    pub fn new(volume: &'a Volume<D>, disk: usize) -> Self {
         Self::with_options(volume, disk, ExecOptions::default())
     }
 
     /// Executor with explicit options.
-    pub fn with_options(volume: &'a LogicalVolume, disk: usize, options: ExecOptions) -> Self {
+    pub fn with_options(volume: &'a Volume<D>, disk: usize, options: ExecOptions) -> Self {
         QueryExecutor {
             volume,
             disk,
@@ -475,25 +539,15 @@ impl<'a> QueryExecutor<'a> {
         self.options
     }
 
-    /// Map every cell of `region` to the first LBN of its cell, in
-    /// row-major cell order. The second value reports the translation
-    /// cache outcome: `None` when the cache was not consulted.
-    fn region_lbns(
-        &self,
-        mapping: &dyn Mapping,
-        region: &BoxRegion,
-    ) -> Result<(Vec<Lbn>, Option<bool>)> {
-        translate_region(&self.options, mapping, region)
-    }
-
-    /// Resolve the schedule policy for a beam of `ncells` requests.
-    fn beam_schedule(&self, mapping: &dyn Mapping, ncells: u64) -> SchedulePolicy {
-        resolve_beam_schedule(&self.options, mapping, ncells)
-    }
-
     /// Run one query end to end: plan, translate, schedule, service.
     ///
-    /// This is the single entry point every query takes. When the
+    /// This is the single entry point every query takes. With a
+    /// [`BlockCache`] attached, resident cells are delivered without
+    /// device I/O: the result's `payload` covers every demanded cell —
+    /// cached or fetched — so it equals the uncached run's payload, while
+    /// `blocks`/`requests`/`total_io_ms` report the device traffic that
+    /// actually happened. Without a cache the batch is exactly the
+    /// uncached one, byte-identical in timing. When the
     /// request carries a sink, the four phases are span-timed
     /// (wall clock) and every serviced request's timing decomposition,
     /// transition class and cache outcome is recorded — reading only
@@ -517,14 +571,14 @@ impl<'a> QueryExecutor<'a> {
         }
         let cell_blocks = mapping.cell_blocks();
         let beam_policy = match op {
-            QueryOp::Beam => Some(self.beam_schedule(mapping, region.cells())),
+            QueryOp::Beam => Some(resolve_beam_schedule(&self.options, mapping, region.cells())),
             QueryOp::Range => None,
         };
         finish_span(&mut sink, Span::Plan, t_plan);
 
         // Translate: region cells → LBNs (direct or via the flat table).
         let t_translate = timed.then(Instant::now);
-        let (lbns, cache_hit) = self.region_lbns(mapping, region)?;
+        let (lbns, cache_hit) = translate_region(&self.options, mapping, region)?;
         if let Some(s) = sink.as_deref_mut() {
             match cache_hit {
                 Some(true) => s.counter(Counter::TranslationCacheHit, 1),
@@ -535,188 +589,80 @@ impl<'a> QueryExecutor<'a> {
         finish_span(&mut sink, Span::Translate, t_translate);
         let cells = lbns.len() as u64;
 
-        // Cached path: probe resident pages, fetch only the misses
-        // (plus the cache's prefetch plan) in one batch. Taken only
-        // when a cache is attached, so cache-off runs stay
-        // byte-identical to builds without cache support.
-        if let Some(cache) = cache {
-            let timing = CachedServiceTiming {
-                timed,
-                t_schedule: timed.then(Instant::now),
-            };
-            let plan = CachedPlan {
+        // Schedule: build the request batch in issue order. With a
+        // cache attached, only the misses are scheduled — exactly as an
+        // uncached query over them would be — and the cache's prefetch
+        // plan rides the same batch, so SPTF and coalescing see demand
+        // and speculative reads together.
+        let t_schedule = timed.then(Instant::now);
+        let probed = cache.map(|c| {
+            let ctx = PrefetchContext {
                 mapping,
                 region,
-                op,
-                beam_policy,
-                cell_blocks,
-                lbns,
+                demand: &lbns,
+                missed: &[],
+                lbn_limit: self.volume.geometry().total_blocks(),
             };
-            return self.execute_cached(plan, cache, &mut observer, &mut sink, timing);
+            probe_cache(c, ctx, cell_blocks)
+        });
+        let demand = match &probed {
+            Some(p) => p.missed.clone(),
+            None => lbns,
+        };
+        let (mut requests, policy) =
+            plan_requests(&self.options, op, beam_policy, demand, cell_blocks);
+        if let Some(p) = &probed {
+            requests.extend(p.prefetch.iter().map(|&l| Request::new(l, cell_blocks)));
         }
-
-        // Schedule: build the request batch in issue order.
-        let t_schedule = timed.then(Instant::now);
-        let (requests, policy) = self.build_requests(op, beam_policy, lbns, cell_blocks);
         finish_span(&mut sink, Span::Schedule, t_schedule);
 
-        // Service: hand the batch to the volume's scheduler.
+        // Service: hand the batch to the device's scheduler (skipped
+        // when every demanded page was resident and no prefetch is due).
         let t_service = timed.then(Instant::now);
-        let geom = self.volume.geometry();
-        let batch = {
-            let mut tap = sink.as_deref_mut();
-            let mut record = |e: ServiceEvent| {
-                if let Some(s) = tap.as_deref_mut() {
-                    record_service_event(s, geom, &e);
-                }
-                if let Some(o) = observer.as_mut() {
-                    o(e);
-                }
-            };
-            serve_split_degraded(self.volume, self.disk, &requests, policy, &mut record)?
-        };
-        finish_span(&mut sink, Span::Service, t_service);
-        if let Some(s) = sink {
-            record_sched_stats(s, &batch);
-        }
-        Ok(QueryResult::from_batch(batch, cells))
-    }
-
-    /// Build the disk request batch (issue order plus schedule policy)
-    /// for cell-start `lbns` under this executor's options. Shared by
-    /// the cached and uncached paths, so a cache that misses every
-    /// probe issues exactly the batch an uncached run would.
-    fn build_requests(
-        &self,
-        op: QueryOp,
-        beam_policy: Option<SchedulePolicy>,
-        lbns: Vec<Lbn>,
-        cell_blocks: u64,
-    ) -> (Vec<Request>, SchedulePolicy) {
-        plan_requests(&self.options, op, beam_policy, lbns, cell_blocks)
-    }
-
-    /// Serve one query through an attached [`BlockCache`].
-    ///
-    /// Resident cells are delivered without disk I/O; the misses are
-    /// scheduled exactly as an uncached query over those cells would
-    /// be, and the cache's prefetch plan is appended to the same batch
-    /// so speculative reads ride the scheduler (SPTF and coalescing see
-    /// demand + prefetch together). The result's `payload` covers every
-    /// demanded cell — cached or fetched — so it equals the uncached
-    /// run's payload; `blocks`/`requests`/`total_io_ms` report the disk
-    /// traffic that actually happened.
-    fn execute_cached(
-        &self,
-        plan: CachedPlan<'_>,
-        cache: &dyn BlockCache,
-        observer: &mut Option<&mut dyn FnMut(ServiceEvent)>,
-        sink: &mut Option<&mut dyn MetricsSink>,
-        timing: CachedServiceTiming,
-    ) -> Result<QueryResult> {
-        let CachedPlan {
-            mapping,
-            region,
-            op,
-            beam_policy,
-            cell_blocks,
-            lbns,
-        } = plan;
-        let cells = lbns.len() as u64;
-
-        // Probe: split the demand set into resident hits and misses.
-        let mut missed: Vec<Lbn> = Vec::new();
-        let mut hits = 0u64;
-        let mut prefetch_used = 0u64;
-        for &l in &lbns {
-            match cache.probe(l) {
-                CacheProbe::Hit { first_prefetch_use } => {
-                    hits += 1;
-                    if first_prefetch_use {
-                        prefetch_used += 1;
-                    }
-                }
-                CacheProbe::Miss => missed.push(l),
-            }
-        }
-        // The delivered data is the same whether a cell came from a
-        // resident page or a fresh read, and `request_payload` is a
-        // pure per-block sum — so charging every demanded cell keeps
-        // the payload bit-identical to an uncached run of this query.
-        let payload = lbns.iter().fold(0u64, |acc, &l| {
-            acc.wrapping_add(request_payload(Request::new(l, cell_blocks)))
-        });
-        let misses = missed.len() as u64;
-
-        // Plan prefetch — even on an all-hit query, so stream detection
-        // keeps tracking the query sequence and can run ahead of it.
-        let prefetch = cache.plan_prefetch(&PrefetchContext {
-            mapping,
-            region,
-            demand: &lbns,
-            missed: &missed,
-            lbn_limit: self.volume.geometry().total_blocks(),
-        });
-
-        // Schedule the misses exactly as an uncached query over them
-        // would be scheduled, then append the speculative reads.
-        let (mut requests, policy) =
-            self.build_requests(op, beam_policy, missed.clone(), cell_blocks);
-        requests.extend(prefetch.iter().map(|&l| Request::new(l, cell_blocks)));
-        finish_span(sink, Span::Schedule, timing.t_schedule);
-
-        // Service the combined batch (skipped when everything was
-        // resident and no prefetch is due).
-        let t_service = timing.timed.then(Instant::now);
-        let geom = self.volume.geometry();
-        let batch = if requests.is_empty() {
+        let batch = if probed.is_some() && requests.is_empty() {
             BatchTiming::default()
         } else {
-            let mut tap = sink.as_deref_mut();
-            let mut record = |e: ServiceEvent| {
-                if let Some(s) = tap.as_deref_mut() {
-                    record_service_event(s, geom, &e);
-                }
-                if let Some(o) = observer.as_mut() {
-                    o(e);
-                }
-            };
-            serve_split_degraded(self.volume, self.disk, &requests, policy, &mut record)?
+            serve_batch(
+                self.volume,
+                self.disk,
+                &requests,
+                policy,
+                &mut observer,
+                sink.as_deref_mut(),
+            )?
         };
-        finish_span(sink, Span::Service, t_service);
+        finish_span(&mut sink, Span::Service, t_service);
 
-        // Admission order is part of the deterministic contract:
-        // demand misses first (cell order), then prefetched pages.
-        for &l in &missed {
-            cache.admit(l, cell_blocks, false);
+        let mut result = QueryResult::from_batch(batch, cells);
+        if let (Some(cache), Some(p)) = (cache, &probed) {
+            // Admission order is part of the deterministic contract:
+            // demand misses first (cell order), then prefetched pages.
+            for &l in &p.missed {
+                cache.admit(l, cell_blocks, false);
+            }
+            for &l in &p.prefetch {
+                cache.admit(l, cell_blocks, true);
+            }
+            result.payload = p.payload;
         }
-        for &l in &prefetch {
-            cache.admit(l, cell_blocks, true);
-        }
-
-        if let Some(s) = sink.as_deref_mut() {
-            s.counter(Counter::PageCacheHit, hits);
-            s.counter(Counter::PageCacheMiss, misses);
-            s.counter(Counter::CachePrefetchIssued, prefetch.len() as u64);
-            s.counter(Counter::CachePrefetchUsed, prefetch_used);
+        if let Some(s) = sink {
+            if let Some(p) = &probed {
+                s.counter(Counter::PageCacheHit, p.hits);
+                s.counter(Counter::PageCacheMiss, p.missed.len() as u64);
+                s.counter(Counter::CachePrefetchIssued, p.prefetch.len() as u64);
+                s.counter(Counter::CachePrefetchUsed, p.prefetch_used);
+            }
             record_sched_stats(s, &batch);
         }
-        Ok(QueryResult {
-            cells,
-            blocks: batch.blocks,
-            requests: batch.requests,
-            total_io_ms: batch.total_ms,
-            payload,
-        })
+        Ok(result)
     }
-
 }
 
 /// Map every cell of `region` to the first LBN of its cell, in
 /// row-major cell order, under `options`' translation-cache setting.
 /// The second value reports the translation cache outcome: `None` when
 /// the cache was not consulted.
-pub(crate) fn translate_region(
+fn translate_region(
     options: &ExecOptions,
     mapping: &dyn Mapping,
     region: &BoxRegion,
@@ -759,8 +705,8 @@ pub(crate) fn translate_region(
 }
 
 /// Resolve the schedule policy for a beam of `ncells` requests under
-/// `options` — shared by the volume-bound and backend-generic executors.
-pub(crate) fn resolve_beam_schedule(
+/// `options`.
+fn resolve_beam_schedule(
     options: &ExecOptions,
     mapping: &dyn Mapping,
     ncells: u64,
@@ -778,10 +724,10 @@ pub(crate) fn resolve_beam_schedule(
 }
 
 /// Build the device request batch (issue order plus schedule policy)
-/// for cell-start `lbns` under `options` — shared by the volume-bound
-/// and backend-generic executors, so a query issues the identical batch
-/// whichever device model serves it.
-pub(crate) fn plan_requests(
+/// for cell-start `lbns` under `options` — shared by the cached and
+/// uncached paths, so a cache that misses every probe issues exactly the
+/// batch an uncached run would.
+fn plan_requests(
     options: &ExecOptions,
     op: QueryOp,
     beam_policy: Option<SchedulePolicy>,
@@ -832,8 +778,8 @@ pub(crate) fn plan_requests(
 /// `sptf` issues the whole batch to the disk scheduler (MultiMap beams);
 /// otherwise LBNs are sorted ascending and coalesced (the linearised
 /// mappings' policy).
-pub fn service_lbns(
-    volume: &LogicalVolume,
+pub fn service_lbns<D: DeviceModel>(
+    volume: &Volume<D>,
     disk: usize,
     lbns: &[Lbn],
     sptf: bool,
@@ -843,34 +789,25 @@ pub fn service_lbns(
 
 /// [`service_lbns`] with an optional metrics sink recording the same
 /// per-request decomposition the executor path records.
-pub fn service_lbns_sinked(
-    volume: &LogicalVolume,
+pub fn service_lbns_sinked<D: DeviceModel>(
+    volume: &Volume<D>,
     disk: usize,
     lbns: &[Lbn],
     sptf: bool,
     mut sink: Option<&mut dyn MetricsSink>,
 ) -> Result<QueryResult> {
     let cells = lbns.len() as u64;
-    let geom = volume.geometry();
     let t_service = sink.is_some().then(Instant::now);
-    let batch = {
-        let mut tap = sink.as_deref_mut();
-        let mut record = |e: ServiceEvent| {
-            if let Some(s) = tap.as_deref_mut() {
-                record_service_event(s, geom, &e);
-            }
-        };
-        if sptf {
-            let requests: Vec<Request> = lbns.iter().map(|&l| Request::single(l)).collect();
-            serve_split_degraded(volume, disk, &requests, SchedulePolicy::Sptf, &mut record)?
-        } else {
-            let mut sorted = lbns.to_vec();
-            sorted.sort_unstable();
-            sorted.dedup();
-            let requests = coalesce_sorted(&sorted);
-            serve_split_degraded(volume, disk, &requests, SchedulePolicy::InOrder, &mut record)?
-        }
+    let (requests, policy) = if sptf {
+        let requests: Vec<Request> = lbns.iter().map(|&l| Request::single(l)).collect();
+        (requests, SchedulePolicy::Sptf)
+    } else {
+        let mut sorted = lbns.to_vec();
+        sorted.sort_unstable();
+        sorted.dedup();
+        (coalesce_sorted(&sorted), SchedulePolicy::InOrder)
     };
+    let batch = serve_batch(volume, disk, &requests, policy, &mut None, sink.as_deref_mut())?;
     finish_span(&mut sink, Span::Service, t_service);
     if let Some(s) = sink {
         record_sched_stats(s, &batch);
@@ -908,6 +845,7 @@ mod tests {
     use super::*;
     use multimap_core::{GridSpec, MultiMapping, NaiveMapping};
     use multimap_disksim::profiles;
+    use multimap_lvm::LogicalVolume;
     use multimap_telemetry::Metrics;
 
     fn setup() -> (LogicalVolume, GridSpec) {
@@ -1365,5 +1303,144 @@ mod tests {
         let r = exec.execute(QueryRequest::beam(&naive, &beam)).unwrap();
         assert_eq!(r.payload, clean.payload);
         assert_eq!(r.cells, clean.cells);
+    }
+
+    /// The static-vs-dynamic dispatch pin at the query level: a query on
+    /// a concrete `Volume<DiskSim>` and on a registry-built
+    /// `Volume<Box<dyn DeviceModel>>` is bit-identical.
+    #[test]
+    fn registry_disk_volume_matches_logical_volume_executor() {
+        let geom = profiles::small();
+        let grid = GridSpec::new([60u64, 8, 6]);
+        let lv = LogicalVolume::new(geom.clone(), 1);
+        let mm = MultiMapping::new(&geom, grid.clone()).unwrap();
+        let dv = multimap_lvm::backend_volume("disk", &geom, 1).unwrap();
+        for (op, region) in [
+            (QueryOp::Beam, BoxRegion::beam(&grid, 1, &[3, 0, 2])),
+            (QueryOp::Range, BoxRegion::new([0u64, 0, 0], [20u64, 5, 3])),
+        ] {
+            lv.reset();
+            let mut m_concrete = Metrics::new();
+            let concrete = QueryExecutor::new(&lv, 0)
+                .execute(QueryRequest::new(op, &mm, &region).with_sink(&mut m_concrete))
+                .unwrap();
+            dv.reset();
+            let mut m_boxed = Metrics::new();
+            let boxed = QueryExecutor::new(&dv, 0)
+                .execute(QueryRequest::new(op, &mm, &region).with_sink(&mut m_boxed))
+                .unwrap();
+            assert_eq!(concrete, boxed);
+            assert_eq!(concrete.total_io_ms.to_bits(), boxed.total_io_ms.to_bits());
+            assert_eq!(m_concrete.phase_sum_ms().to_bits(), m_boxed.phase_sum_ms().to_bits());
+        }
+    }
+
+    /// Every registry backend serves the same query with the same
+    /// payload; only timing differs.
+    #[test]
+    fn payload_is_backend_independent() {
+        let geom = profiles::small();
+        let grid = GridSpec::new([60u64, 8, 6]);
+        let mm = MultiMapping::new(&geom, grid.clone()).unwrap();
+        let region = BoxRegion::beam(&grid, 2, &[5, 3, 0]);
+        let mut results = Vec::new();
+        for name in multimap_disksim::BACKEND_NAMES {
+            let v = multimap_lvm::backend_volume(name, &geom, 1).unwrap();
+            let r = QueryExecutor::new(&v, 0)
+                .execute(QueryRequest::beam(&mm, &region))
+                .unwrap();
+            assert!(r.total_io_ms > 0.0, "{name}");
+            results.push(r);
+        }
+        assert!(results.windows(2).all(|w| w[0].payload == w[1].payload));
+        assert!(results.windows(2).all(|w| w[0].cells == w[1].cells));
+    }
+
+    /// A sink on a backend query records the backend's own transition
+    /// classes and reconciles request counts; on event-sum backends
+    /// (disk, IMR reads) phase sums still equal the batch total.
+    #[test]
+    fn sink_reconciles_on_every_backend() {
+        let geom = profiles::small();
+        let grid = GridSpec::new([60u64, 8, 6]);
+        let mm = MultiMapping::new(&geom, grid.clone()).unwrap();
+        let region = BoxRegion::beam(&grid, 2, &[5, 3, 0]);
+        for name in multimap_disksim::BACKEND_NAMES {
+            let v = multimap_lvm::backend_volume(name, &geom, 1).unwrap();
+            let mut m = Metrics::new();
+            let r = QueryExecutor::new(&v, 0)
+                .execute(QueryRequest::beam(&mm, &region).with_sink(&mut m))
+                .unwrap();
+            assert_eq!(m.counter_value(Counter::RequestsServiced), r.requests, "{name}");
+            if name == "ssd" {
+                // Per-channel service overlaps, so phase sums exceed
+                // the makespan.
+                assert!(m.phase_sum_ms() >= r.total_io_ms - 1e-9);
+            } else {
+                assert!(
+                    (m.phase_sum_ms() - r.total_io_ms).abs() < 1e-9,
+                    "{name}: phase sums {} vs total {}",
+                    m.phase_sum_ms(),
+                    r.total_io_ms
+                );
+                assert!(m.counter_value(Counter::AdjacencyHop) > 0, "{name}");
+            }
+        }
+    }
+
+    /// Observer events classify through the backend, not through
+    /// rotating-disk geometry.
+    #[test]
+    fn events_classify_through_backend() {
+        let geom = profiles::small();
+        let grid = GridSpec::new([60u64, 8, 6]);
+        let naive = NaiveMapping::new(grid.clone(), 0);
+        let region = BoxRegion::new([0u64, 0, 0], [59u64, 1, 0]);
+        let v = multimap_lvm::backend_volume("ssd", &geom, 1).unwrap();
+        let mut events = Vec::new();
+        let mut keep = |e: ServiceEvent| events.push(e);
+        QueryExecutor::new(&v, 0)
+            .execute(QueryRequest::range(&naive, &region).with_observer(&mut keep))
+            .unwrap();
+        assert!(!events.is_empty());
+        let classes = v.classify_events(0, &events).unwrap();
+        assert_eq!(classes.len(), events.len());
+    }
+
+    /// The page cache works on every backend: a warm re-run delivers the
+    /// same payload with no device I/O.
+    #[test]
+    fn cache_serves_every_backend() {
+        let geom = profiles::small();
+        let grid = GridSpec::new([60u64, 8, 6]);
+        let naive = NaiveMapping::new(grid.clone(), 0);
+        let region = BoxRegion::beam(&grid, 1, &[3, 0, 2]);
+        for name in multimap_disksim::BACKEND_NAMES {
+            let v = multimap_lvm::backend_volume(name, &geom, 1).unwrap();
+            let exec = QueryExecutor::new(&v, 0);
+            let cache = TestCache::default();
+            let cold = exec
+                .execute(QueryRequest::beam(&naive, &region).with_cache(&cache))
+                .unwrap();
+            let warm = exec
+                .execute(QueryRequest::beam(&naive, &region).with_cache(&cache))
+                .unwrap();
+            assert!(cold.requests > 0, "{name}");
+            assert_eq!(warm.payload, cold.payload, "{name}");
+            assert_eq!(warm.requests, 0, "{name}");
+        }
+    }
+
+    /// Out-of-grid regions fail identically on every backend.
+    #[test]
+    fn oversized_region_is_a_typed_error_on_imr() {
+        let grid = GridSpec::new([60u64, 8, 6]);
+        let naive = NaiveMapping::new(grid, 0);
+        let region = BoxRegion::new([0u64, 0, 0], [60u64, 0, 0]);
+        let v = multimap_lvm::backend_volume("imr", &profiles::small(), 1).unwrap();
+        let err = QueryExecutor::new(&v, 0)
+            .execute(QueryRequest::range(&naive, &region))
+            .unwrap_err();
+        assert!(matches!(err, QueryError::RegionOutsideGrid { .. }));
     }
 }

@@ -31,14 +31,15 @@
 //! ```
 //!
 //! Every query flows through [`QueryExecutor::execute`] with a
-//! [`QueryRequest`]; a request can carry a per-request observer and a
+//! [`QueryRequest`], on a volume over any
+//! [`DeviceModel`](multimap_disksim::DeviceModel) backend; a request can
+//! carry a per-request observer, a page cache and a
 //! [`multimap_telemetry::MetricsSink`] without perturbing simulated
 //! timings (see `docs/observability.md`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod backend;
 pub mod cache;
 pub mod error;
 pub mod executor;
@@ -46,11 +47,10 @@ pub mod mix;
 pub mod plan;
 pub mod workload;
 
-pub use backend::BackendExecutor;
 pub use cache::{BlockCache, CacheProbe, PrefetchContext};
 pub use error::{QueryError, Result};
 pub use executor::{
-    record_classified_event, record_service_event, service_lbns, service_lbns_sinked, BeamPolicy,
+    record_classified_event, service_lbns, service_lbns_sinked, BeamPolicy,
     ExecOptions, ExecOptionsBuilder, QueryExecutor, QueryOp, QueryRequest, QueryResult, RangeOrder,
 };
 pub use mix::{MixEntry, MixReport, QueryKind, WorkloadMix, WorkloadMixBuilder};

@@ -16,7 +16,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 use multimap_core::{BoxRegion, Mapping};
 use multimap_disksim::{DeviceModel, Request};
-use multimap_lvm::{DeviceVolume, SchedulePolicy};
+use multimap_lvm::{SchedulePolicy, Volume};
 use multimap_query::record_classified_event;
 use multimap_telemetry::{Histogram, Metrics};
 
@@ -220,7 +220,7 @@ impl LoopState {
 /// The volume is used as-is (its clock keeps advancing from wherever
 /// it stands); for reproducible runs hand in a freshly built volume.
 pub fn serve_scenario<D: DeviceModel>(
-    volume: &DeviceVolume<D>,
+    volume: &Volume<D>,
     mapping: &dyn Mapping,
     scenario: &Scenario,
 ) -> Result<ServingReport> {
@@ -378,7 +378,8 @@ pub fn serve_scenario<D: DeviceModel>(
 mod tests {
     use super::*;
     use multimap_core::{GridSpec, MultiMapping, NaiveMapping};
-    use multimap_disksim::{profiles, DiskSim};
+    use multimap_disksim::profiles;
+    use multimap_lvm::LogicalVolume;
     use multimap_telemetry::Counter;
     use crate::workload::TenantSpec;
 
@@ -422,8 +423,8 @@ mod tests {
         }
     }
 
-    fn volume() -> DeviceVolume<DiskSim> {
-        DeviceVolume::new(vec![DiskSim::new(profiles::small())]).unwrap()
+    fn volume() -> LogicalVolume {
+        LogicalVolume::new(profiles::small(), 1)
     }
 
     fn mapping() -> MultiMapping {

@@ -6,8 +6,8 @@
 use std::collections::BTreeSet;
 
 use multimap_core::{GridSpec, MultiMapping};
-use multimap_disksim::{profiles, DiskSim};
-use multimap_lvm::DeviceVolume;
+use multimap_disksim::profiles;
+use multimap_lvm::LogicalVolume;
 use multimap_server::{
     serve_scenario, FairnessPolicy, LoadModel, Outcome, Scenario, TenantSpec,
 };
@@ -73,7 +73,7 @@ proptest! {
             batch_window,
             queue_depth: 16,
         };
-        let volume = DeviceVolume::new(vec![DiskSim::new(geom.clone())]).unwrap();
+        let volume = LogicalVolume::new(geom.clone(), 1);
         let mapping = MultiMapping::new(&geom, grid).unwrap();
         let report = serve_scenario(&volume, &mapping, &scenario).unwrap();
 

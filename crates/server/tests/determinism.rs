@@ -4,8 +4,8 @@
 //! histograms at 1, 2, 4, and 8 threads.
 
 use multimap_core::{GridSpec, Mapping, MultiMapping, NaiveMapping};
-use multimap_disksim::{profiles, DiskSim};
-use multimap_lvm::DeviceVolume;
+use multimap_disksim::profiles;
+use multimap_lvm::LogicalVolume;
 use multimap_server::{
     serve_scenario, FairnessPolicy, LoadModel, Scenario, ServingReport, TenantSpec,
 };
@@ -65,7 +65,7 @@ fn run_cells() -> Vec<ServingReport> {
     let cells = cells();
     multimap_engine::sweep(&cells, |(scenario, multimap)| {
         let geom = profiles::small();
-        let volume = DeviceVolume::new(vec![DiskSim::new(geom.clone())]).unwrap();
+        let volume = LogicalVolume::new(geom.clone(), 1);
         let mapping: Box<dyn Mapping> = if *multimap {
             Box::new(MultiMapping::new(&geom, grid()).unwrap())
         } else {

@@ -1,40 +1,23 @@
-//! Backend-generic storage service: [`DeviceStore`] puts the store's
-//! page cache and write-back batcher in front of a
-//! [`DeviceVolume`] over any [`DeviceModel`](multimap_disksim::DeviceModel)
-//! backend.
+//! Backend-generic write-back: [`DeviceStore`] puts the store's page
+//! cache and write-back batcher in front of a [`Volume`] over any
+//! [`DeviceModel`] backend.
 //!
-//! This is the half of [`crate::StorageManager`] that does not depend
-//! on rotating-disk specifics: demand reads probe the cache and fetch
-//! only the misses in one queued-SPTF batch; writes dirty cache pages
-//! and drain through an ascending-LBN write-back flush. On an IMR
-//! backend that flush is where read-modify-write amplification
-//! surfaces — the store diffs the backend's `imr.neighbor_rewrites`
-//! counter across each flush and records the delta as
-//! [`Counter::NeighborRewrite`] telemetry, so write amplification is
-//! observable per flush without backend-specific code on the hot path.
+//! Writes dirty cache pages and drain through an ascending-LBN
+//! write-back flush. On an IMR backend that flush is where
+//! read-modify-write amplification surfaces — the store diffs the
+//! backend's `imr.neighbor_rewrites` counter across each flush and
+//! records the delta as [`Counter::NeighborRewrite`] telemetry, so write
+//! amplification is observable per flush without backend-specific code
+//! on the hot path. Cached demand reads on any backend go through
+//! [`multimap_query::QueryExecutor`] with
+//! [`QueryRequest::with_cache`](multimap_query::QueryRequest::with_cache).
 
-use multimap_disksim::{DeviceModel, Lbn, Request, ServiceLog};
-use multimap_lvm::{DeviceVolume, SchedulePolicy};
-use multimap_query::{record_classified_event, BlockCache, CacheProbe};
+use multimap_disksim::{DeviceModel, Lbn, Request};
+use multimap_lvm::{LvmError, Volume};
 use multimap_telemetry::{Counter, Metrics, MetricsSink, Phase};
 
 use crate::cache::{CacheConfig, PageCache};
 use crate::manager::Result;
-
-/// What one backend demand-read batch delivered.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct BackendReadReport {
-    /// Cells demanded (cache hits + misses).
-    pub cells: u64,
-    /// Demands answered from resident pages (no device I/O).
-    pub hits: u64,
-    /// Demands that went to the device.
-    pub misses: u64,
-    /// Blocks transferred by the device.
-    pub blocks: u64,
-    /// Simulated I/O time of the demand batch, in milliseconds.
-    pub total_io_ms: f64,
-}
 
 /// What one write-back flush serviced on the backend.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -59,8 +42,8 @@ impl BackendFlushReport {
     }
 }
 
-/// Page-cached, write-back-batched access to a backend-generic
-/// [`DeviceVolume`] — one [`PageCache`] per device.
+/// Write-back-batched access to a backend-generic [`Volume`] — one
+/// [`PageCache`] per device.
 ///
 /// ```
 /// use multimap_disksim::profiles;
@@ -69,12 +52,12 @@ impl BackendFlushReport {
 ///
 /// let volume = backend_volume("imr", &profiles::small(), 1).unwrap();
 /// let mut store = DeviceStore::new(volume, CacheConfig::default());
-/// let r = store.read(0, &[0, 8, 16], 1).unwrap();
-/// assert_eq!(r.cells, 3);
-/// assert_eq!(r.misses, 3);
+/// store.write(0, 8, 1).unwrap();
+/// let r = store.flush_all().unwrap();
+/// assert_eq!(r.pages, 1);
 /// ```
 pub struct DeviceStore<D: DeviceModel> {
-    volume: DeviceVolume<D>,
+    volume: Volume<D>,
     caches: Vec<PageCache>,
     config: CacheConfig,
     metrics: Metrics,
@@ -82,7 +65,7 @@ pub struct DeviceStore<D: DeviceModel> {
 
 impl<D: DeviceModel> DeviceStore<D> {
     /// A store over `volume` with one page cache per device.
-    pub fn new(volume: DeviceVolume<D>, config: CacheConfig) -> Self {
+    pub fn new(volume: Volume<D>, config: CacheConfig) -> Self {
         let caches = (0..volume.num_devices())
             .map(|_| PageCache::new(&config))
             .collect();
@@ -95,59 +78,25 @@ impl<D: DeviceModel> DeviceStore<D> {
     }
 
     /// The underlying volume.
-    pub fn volume(&self) -> &DeviceVolume<D> {
+    pub fn volume(&self) -> &Volume<D> {
         &self.volume
     }
 
-    /// The page cache serving `device` (panics on a bad index, like
-    /// slice indexing — construction sized one cache per device).
-    pub fn cache(&self, device: usize) -> &PageCache {
-        &self.caches[device]
+    /// The page cache serving `device`, or
+    /// [`LvmError::NoSuchDisk`] on a bad index.
+    pub fn cache(&self, device: usize) -> Result<&PageCache> {
+        self.caches.get(device).ok_or_else(|| {
+            LvmError::NoSuchDisk {
+                disk: device,
+                ndisks: self.caches.len(),
+            }
+            .into()
+        })
     }
 
-    /// Telemetry recorded by the demand and write-back paths.
+    /// Telemetry recorded by the write-back path.
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
-    }
-
-    /// Fetch `nblocks`-block cells at `lbns`: probe the cache, service
-    /// the misses as one queued-SPTF batch, admit them, and record
-    /// hit/miss counters plus the per-event phase decomposition.
-    pub fn read(&mut self, device: usize, lbns: &[Lbn], nblocks: u64) -> Result<BackendReadReport> {
-        let cache = &self.caches[device];
-        let mut missed: Vec<Lbn> = Vec::new();
-        let mut hits = 0u64;
-        for &l in lbns {
-            match cache.probe(l) {
-                CacheProbe::Hit { .. } => hits += 1,
-                CacheProbe::Miss => missed.push(l),
-            }
-        }
-        let misses = missed.len() as u64;
-        let mut report = BackendReadReport {
-            cells: lbns.len() as u64,
-            hits,
-            misses,
-            ..BackendReadReport::default()
-        };
-        if !missed.is_empty() {
-            let requests: Vec<Request> = missed.iter().map(|&l| Request::new(l, nblocks)).collect();
-            let depth = self.config.queue_depth.max(1);
-            let (timing, log) = self.volume.service_batch_logged(
-                device,
-                &requests,
-                SchedulePolicy::QueuedSptf(depth),
-            )?;
-            self.record_log(device, &log)?;
-            for &l in &missed {
-                self.caches[device].admit(l, nblocks, false);
-            }
-            report.blocks = timing.blocks;
-            report.total_io_ms = timing.total_ms;
-        }
-        self.metrics.counter(Counter::PageCacheHit, hits);
-        self.metrics.counter(Counter::PageCacheMiss, misses);
-        Ok(report)
     }
 
     /// Dirty one page. When the pending write-back set reaches the
@@ -159,7 +108,7 @@ impl<D: DeviceModel> DeviceStore<D> {
         lbn: Lbn,
         nblocks: u64,
     ) -> Result<Option<BackendFlushReport>> {
-        let cache = &self.caches[device];
+        let cache = self.cache(device)?;
         cache.mark_dirty(lbn, nblocks);
         if cache.writeback_pending() >= self.config.writeback_batch.max(1) {
             return self.flush(device).map(Some);
@@ -175,7 +124,7 @@ impl<D: DeviceModel> DeviceStore<D> {
     /// `imr.neighbor_rewrites` counter is diffed across the flush and
     /// the delta recorded as [`Counter::NeighborRewrite`].
     pub fn flush(&mut self, device: usize) -> Result<BackendFlushReport> {
-        let pages = self.caches[device].take_writeback();
+        let pages = self.cache(device)?.take_writeback();
         if pages.is_empty() {
             return Ok(BackendFlushReport::default());
         }
@@ -208,21 +157,11 @@ impl<D: DeviceModel> DeviceStore<D> {
         }
         Ok(report)
     }
-
-    /// Record a service log's per-event decomposition, classified by
-    /// the backend (one lock acquisition for the whole log).
-    fn record_log(&mut self, device: usize, log: &ServiceLog) -> Result<()> {
-        let transitions = self.volume.classify_events(device, log.events())?;
-        for (e, &t) in log.events().iter().zip(&transitions) {
-            record_classified_event(&mut self.metrics, t, e);
-        }
-        Ok(())
-    }
 }
 
 /// The backend's `imr.neighbor_rewrites` counter, or 0 on backends
 /// that do not report one.
-fn neighbor_rewrites<D: DeviceModel>(volume: &DeviceVolume<D>, device: usize) -> Result<u64> {
+fn neighbor_rewrites<D: DeviceModel>(volume: &Volume<D>, device: usize) -> Result<u64> {
     Ok(volume
         .counters(device)?
         .into_iter()
@@ -247,28 +186,21 @@ mod tests {
         DeviceStore::new(volume, cfg)
     }
 
+    /// A bad device index is a typed error on every entry point, not
+    /// a slice-index panic.
     #[test]
-    fn demand_reads_hit_after_admission() {
-        for backend in multimap_disksim::BACKEND_NAMES {
-            let mut s = store(backend);
-            let lbns: Vec<Lbn> = (0..16u64).map(|i| i * 64).collect();
-            let cold = s.read(0, &lbns, 1).unwrap();
-            assert_eq!(cold.misses, 16, "{backend}");
-            assert!(cold.total_io_ms > 0.0, "{backend}");
-            let warm = s.read(0, &lbns, 1).unwrap();
-            assert_eq!(warm.hits, 16, "{backend}");
-            assert_eq!(warm.total_io_ms, 0.0, "{backend}");
-            assert_eq!(
-                s.metrics().counter_value(Counter::PageCacheHit),
-                16,
-                "{backend}"
-            );
-            assert_eq!(
-                s.metrics().counter_value(Counter::RequestsServiced),
-                cold.misses,
-                "{backend}"
-            );
-        }
+    fn bad_device_index_is_a_typed_error() {
+        let mut s = store("ssd");
+        let no_such = |e: crate::StoreError| {
+            matches!(
+                e,
+                crate::StoreError::Volume(LvmError::NoSuchDisk { disk: 3, ndisks: 1 })
+            )
+        };
+        assert!(no_such(s.write(3, 0, 1).unwrap_err()));
+        assert!(no_such(s.flush(3).unwrap_err()));
+        assert!(s.cache(3).is_err());
+        assert!(s.cache(0).is_ok());
     }
 
     #[test]
@@ -319,16 +251,5 @@ mod tests {
             "telemetry must reconcile with the flush reports"
         );
         assert!(second.total_io_ms > 0.0);
-    }
-
-    #[test]
-    fn disk_and_imr_reads_cost_the_same() {
-        let lbns: Vec<Lbn> = (0..32u64).map(|i| i * 512).collect();
-        let mut disk = store("disk");
-        let mut imr = store("imr");
-        let rd = disk.read(0, &lbns, 1).unwrap();
-        let ri = imr.read(0, &lbns, 1).unwrap();
-        assert_eq!(rd.total_io_ms.to_bits(), ri.total_io_ms.to_bits());
-        assert_eq!(rd, ri);
     }
 }

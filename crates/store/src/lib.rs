@@ -39,7 +39,7 @@ pub mod page;
 pub mod prefetch;
 
 pub use alloc::{ZoneAllocator, ZoneGrant};
-pub use backend::{BackendFlushReport, BackendReadReport, DeviceStore};
+pub use backend::{BackendFlushReport, DeviceStore};
 pub use cache::{
     make_policy, CacheConfig, CacheStats, ClockPolicy, EvictionKind, EvictionPolicy, LruPolicy,
     PageCache, TwoQPolicy,

@@ -10,7 +10,7 @@ use multimap_core::{
 use multimap_disksim::{DiskGeometry, Lbn, Request};
 use multimap_lvm::{LogicalVolume, LvmError, SchedulePolicy};
 use multimap_query::{
-    record_service_event, service_lbns, QueryError, QueryExecutor, QueryRequest, QueryResult,
+    record_classified_event, service_lbns, QueryError, QueryExecutor, QueryRequest, QueryResult,
 };
 use multimap_telemetry::{Counter, Metrics, MetricsSink, Phase};
 
@@ -195,7 +195,7 @@ impl StorageManager {
     /// every operation byte-identical to a cache-less manager (probes
     /// always miss, inserts write through immediately).
     pub fn enable_cache(&mut self, config: CacheConfig) {
-        self.caches = (0..self.volume.num_disks())
+        self.caches = (0..self.volume.num_devices())
             .map(|d| (d, PageCache::new(&config)))
             .collect();
         self.cache_config = Some(config);
@@ -268,12 +268,12 @@ impl StorageManager {
             .unwrap_or(1);
         let volume = &self.volume;
         let metrics = &mut self.cache_metrics;
-        let geom = volume.geometry().clone();
+        let geom = volume.geometry();
         let timing = volume.service_batch_observed(
             disk,
             &requests,
             SchedulePolicy::QueuedSptf(depth),
-            &mut |e| record_service_event(metrics, &geom, &e),
+            &mut |e| record_classified_event(metrics, e.transition(geom), &e),
         )?;
         // The per-event decomposition above already sums to the batch
         // total; the Writeback phase is a memo overlay (excluded from
@@ -412,7 +412,7 @@ impl StorageManager {
             .tables
             .get_mut(name)
             .ok_or_else(|| StoreError::NoSuchTable(name.into()))?;
-        let report = self.volume.with_disk(table.grant.disk, |sim| {
+        let report = self.volume.with_device(table.grant.disk, |sim| {
             multimap_core::bulk_load(sim, table.mapping.as_ref())
         })??;
         let cells = table.grid().cells();
@@ -477,7 +477,7 @@ impl StorageManager {
 
         // Write-through path (no cache, or capacity 0): one positioned
         // write per page, exactly the pre-cache behaviour.
-        self.volume.with_disk(disk, |sim| {
+        self.volume.with_device(disk, |sim| {
             for (w, _) in writes {
                 // staticcheck: allow(no-unwrap) — grant LBNs were validated against the allocator at create time.
                 sim.service_write(multimap_disksim::Request::single(w))
@@ -545,7 +545,7 @@ impl StorageManager {
             .tables
             .get_mut(name)
             .ok_or_else(|| StoreError::NoSuchTable(name.into()))?;
-        let report = self.volume.with_disk(table.grant.disk, |sim| {
+        let report = self.volume.with_device(table.grant.disk, |sim| {
             multimap_core::bulk_load(sim, table.mapping.as_ref())
         })??;
         // Fresh occupancy at the fill factor; overflow chains dissolve.

@@ -1,16 +1,16 @@
 //! Backend dispatch equivalence: the rotating disk served behind the
-//! [`DeviceModel`] trait — concretely, boxed as `dyn DeviceModel` via
-//! the backend registry, or wrapped in the pre-trait `LogicalVolume` —
-//! must be **byte-identical** in every caller-visible output: batch
+//! [`DeviceModel`] trait — statically dispatched in a concrete
+//! `Volume<DiskSim>` (`LogicalVolume`), called directly through the
+//! trait, or boxed as `dyn DeviceModel` in a registry-built
+//! `Volume<Box<dyn DeviceModel>>` — must be **byte-identical** in every
+//! caller-visible output: batch
 //! timings (bit-exact `total_ms`), payload checksums, and full
 //! `ServiceEvent` logs. The equivalence must also survive the
 //! experiment engine at 1, 2, 4 and 8 threads, since that is how the
 //! bench and conformance suites actually drive the backends.
 
-use multimap::disksim::{
-    build_backend, profiles, DeviceModel, Discipline, DiskSim, Request, ServiceLog,
-};
-use multimap::lvm::LogicalVolume;
+use multimap::disksim::{profiles, DeviceModel, Discipline, DiskSim, Request, ServiceLog};
+use multimap::lvm::{backend_volume, LogicalVolume};
 
 type Run = (u64, u64, u64, u64, ServiceLog);
 
@@ -34,7 +34,7 @@ fn serve(path: usize, reqs: &[Request], policy: Discipline) -> Run {
     let geom = profiles::small();
     let mut log = ServiceLog::new();
     let timing = match path {
-        // (a) The pre-trait logical volume.
+        // (a) The concrete, statically dispatched logical volume.
         0 => {
             let volume = LogicalVolume::new(geom, 1);
             let (t, l) = volume
@@ -49,11 +49,14 @@ fn serve(path: usize, reqs: &[Request], policy: Discipline) -> Run {
             sim.service_batch_observed(reqs, policy, &mut log.recorder())
                 .expect("workload is in range")
         }
-        // (c) A registry-built boxed trait object.
+        // (c) A registry-built volume of boxed trait objects.
         _ => {
-            let mut dev = build_backend("disk", &geom).expect("disk is registered");
-            dev.service_batch_observed(reqs, policy, &mut log.recorder())
-                .expect("workload is in range")
+            let volume = backend_volume("disk", &geom, 1).expect("disk is registered");
+            let (t, l) = volume
+                .service_batch_logged(0, reqs, policy)
+                .expect("workload is in range");
+            log = l;
+            t
         }
     };
     (
