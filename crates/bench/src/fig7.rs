@@ -28,6 +28,12 @@ fn min_region_cells(scale: Scale) -> u64 {
     }
 }
 
+/// The linear baselines: Naive (X-major), Z-order and Hilbert.
+fn baselines(tree: &Octree) -> [LeafLinearMapping; 3] {
+    [LeafOrder::XMajor, LeafOrder::ZOrder, LeafOrder::Hilbert]
+        .map(|o| LeafLinearMapping::new(tree, o, 0).expect("an octree fits a 3-D curve"))
+}
+
 /// Figure 7(a): beam queries along X, Y, Z (avg ms per element).
 pub fn run_beams(scale: Scale) -> Table {
     let tree = earthquake_tree(&config(scale));
@@ -36,11 +42,7 @@ pub fn run_beams(scale: Scale) -> Table {
 
 fn run_beams_on(tree: &Octree, scale: Scale) -> Table {
     let runs = scale.beam_runs();
-    let baselines = [
-        LeafLinearMapping::new(tree, LeafOrder::XMajor, 0),
-        LeafLinearMapping::new(tree, LeafOrder::ZOrder, 0),
-        LeafLinearMapping::new(tree, LeafOrder::Hilbert, 0),
-    ];
+    let baselines = baselines(tree);
 
     let mut table = Table::new(
         format!(
@@ -126,11 +128,7 @@ pub fn run_ranges(scale: Scale) -> Table {
     // different regime. Report the paper's values plus element-count-
     // matched ones (scaled by the element ratio).
     let selectivities = [0.0001f64, 0.001, 0.003, 0.01, 0.05, 0.1];
-    let baselines = [
-        LeafLinearMapping::new(&tree, LeafOrder::XMajor, 0),
-        LeafLinearMapping::new(&tree, LeafOrder::ZOrder, 0),
-        LeafLinearMapping::new(&tree, LeafOrder::Hilbert, 0),
-    ];
+    let baselines = baselines(&tree);
 
     let mut table = Table::new(
         format!(

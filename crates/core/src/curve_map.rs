@@ -6,6 +6,10 @@
 //! is computed over the enclosing power-of-two hypercube and occupied
 //! cells are *rank-compacted*: the cell with the k-th smallest curve
 //! value lands at `base_lbn + k * cell_blocks`, with no holes.
+//!
+//! The sorted key table is produced directly in curve order, by
+//! descending the curve's aligned-subcube hierarchy, rather than by
+//! encoding and sorting every cell.
 
 use multimap_disksim::Lbn;
 use multimap_sfc::{bits_for_extent, GrayCurve, HilbertCurve, SpaceFillingCurve, ZCurve};
@@ -34,7 +38,11 @@ impl<C: SpaceFillingCurve> CurveMapping<C> {
     /// Order the cells of `grid` by `curve` and pack them from `base_lbn`.
     ///
     /// The curve must have at least `bits_for_extent(max extent)` bits per
-    /// dimension and exactly `grid.ndims()` dimensions.
+    /// dimension and exactly `grid.ndims()` dimensions, and must keep the
+    /// [`SpaceFillingCurve`] subcube contract: the table is listed by
+    /// descending the curve's aligned subcubes. A curve that breaks the
+    /// contract in a way that miscounts or misorders the table is
+    /// reported as [`MappingError::CurveContract`].
     pub fn new(
         name: impl Into<String>,
         grid: GridSpec,
@@ -42,7 +50,9 @@ impl<C: SpaceFillingCurve> CurveMapping<C> {
         cell_blocks: u64,
         curve: C,
     ) -> Result<Self> {
-        assert!(cell_blocks > 0, "cells must occupy at least one block");
+        if cell_blocks == 0 {
+            return Err(MappingError::ZeroCellBlocks);
+        }
         if curve.dims() != grid.ndims() {
             return Err(MappingError::DoesNotFit {
                 reason: format!(
@@ -72,13 +82,16 @@ impl<C: SpaceFillingCurve> CurveMapping<C> {
                 reason: format!("rank table for {cells} cells would be too large"),
             });
         }
-        let mut keys = Vec::with_capacity(cells as usize);
-        grid.for_each_cell(|c| {
-            // Safe: every grid cell is within curve range (checked above).
-            keys.push(curve.index(c));
-        });
-        keys.sort_unstable();
-        debug_assert!(keys.windows(2).all(|w| w[0] < w[1]), "curve not injective");
+        let keys = keys_in_curve_order(&curve, grid.extents(), cells as usize)
+            .filter(|keys| keys.len() as u64 == cells)
+            .ok_or_else(|| MappingError::CurveContract {
+                reason: format!("subcube walk did not list exactly {cells} cells"),
+            })?;
+        if !keys.windows(2).all(|w| w[0] < w[1]) {
+            return Err(MappingError::CurveContract {
+                reason: "subcube walk listed keys out of order".into(),
+            });
+        }
         Ok(CurveMapping {
             name: name.into(),
             grid,
@@ -149,6 +162,74 @@ impl<C: SpaceFillingCurve + Send + Sync> Mapping for CurveMapping<C> {
     fn blocks_spanned(&self) -> u64 {
         self.grid.cells() * self.cell_blocks
     }
+}
+
+/// The curve keys of every cell of the grid `[0, extents)`, ascending,
+/// without a per-cell encode or a sort.
+///
+/// It relies on the [`SpaceFillingCurve`] subcube contract: the points of
+/// an aligned subcube of side `2^k` hold one contiguous, aligned block of
+/// `2^(dims*k)` indices. The walk descends that hierarchy in index order
+/// from the whole curve. A subcube wholly inside the grid appends its
+/// block; one that straddles the grid's far faces is split into the
+/// children that meet the grid, ordered by their blocks. Only those
+/// children are encoded and only straddling subcubes are decoded, so the
+/// cost follows the grid's surface, not its volume. `None` if the walk
+/// would list more than `cells` keys, which only a curve that breaks the
+/// contract can cause.
+fn keys_in_curve_order<C: SpaceFillingCurve>(
+    curve: &C,
+    extents: &[u64],
+    cells: usize,
+) -> Option<Vec<u64>> {
+    let dims = extents.len();
+    let mut keys = Vec::with_capacity(cells);
+    // Subcubes still to visit as (first index, level): popped in
+    // ascending index order because children are pushed last-first.
+    let mut pending = vec![(0u64, curve.bits())];
+    let mut corner = vec![0u64; dims];
+    let mut child = vec![0u64; dims];
+    let mut split = Vec::with_capacity(dims);
+    let mut blocks = Vec::new();
+    while let Some((first, level)) = pending.pop() {
+        curve.coords_into(first, &mut corner);
+        let span = low_mask(level);
+        for c in &mut corner {
+            *c &= !span;
+        }
+        if corner.iter().zip(extents).all(|(&c, &e)| c + span < e) {
+            let last = first | low_mask(dims as u32 * level);
+            if (last - first) as usize >= cells - keys.len() {
+                return None;
+            }
+            keys.extend(first..=last);
+            continue;
+        }
+        // Straddles a far face, so `level >= 1`: a single cell is either
+        // inside the grid or never pushed. A child meets the grid iff its
+        // corner does; `split` lists the axes where the upper half does.
+        let half = 1u64 << (level - 1);
+        split.clear();
+        split.extend((0..dims).filter(|&i| corner[i] + half < extents[i]));
+        // Every child that meets the grid holds a cell, and there are at
+        // most 2^31 cells (checked by the caller), so the shift fits.
+        blocks.clear();
+        for pick in 0..1u64 << split.len() {
+            child.copy_from_slice(&corner);
+            for (bit, &axis) in split.iter().enumerate() {
+                child[axis] += ((pick >> bit) & 1) * half;
+            }
+            blocks.push(curve.index(&child) & !low_mask(dims as u32 * (level - 1)));
+        }
+        blocks.sort_unstable_by(|a, b| b.cmp(a));
+        pending.extend(blocks.iter().map(|&block| (block, level - 1)));
+    }
+    Some(keys)
+}
+
+/// The low `bits` bits set (`bits <= 64`).
+fn low_mask(bits: u32) -> u64 {
+    u64::MAX.checked_shr(64 - bits).unwrap_or(0)
 }
 
 /// Z-order mapping of `grid` starting at `base_lbn`.
@@ -254,6 +335,61 @@ mod tests {
         let m = hilbert_mapping(GridSpec::new([3u64, 3]), 0, 1).unwrap();
         assert!(m.lbn_of(&[3, 0]).is_err());
         assert!(m.coord_of(9).is_none());
+    }
+
+    #[test]
+    fn zero_cell_blocks_is_a_typed_error() {
+        let grid = GridSpec::new([3u64, 3]);
+        assert_eq!(
+            zorder_mapping(grid.clone(), 0, 0).err(),
+            Some(MappingError::ZeroCellBlocks)
+        );
+        assert_eq!(
+            hilbert_mapping(grid.clone(), 0, 0).err(),
+            Some(MappingError::ZeroCellBlocks)
+        );
+        assert_eq!(
+            gray_mapping(grid, 0, 0).err(),
+            Some(MappingError::ZeroCellBlocks)
+        );
+    }
+
+    /// A 1-D, 2-bit bijection given by a permutation of `0..4`; any
+    /// permutation other than block swaps breaks the subcube contract.
+    struct Permuted([u64; 4]);
+
+    impl SpaceFillingCurve for Permuted {
+        fn dims(&self) -> usize {
+            1
+        }
+
+        fn bits(&self) -> u32 {
+            2
+        }
+
+        fn try_index(&self, coords: &[u64]) -> std::result::Result<u64, multimap_sfc::CurveError> {
+            Ok(self.0[coords[0] as usize])
+        }
+
+        fn coords_into(&self, index: u64, out: &mut [u64]) {
+            out[0] = self.0.iter().position(|&i| i == index).unwrap() as u64;
+        }
+    }
+
+    #[test]
+    fn contract_breach_is_a_typed_error() {
+        // [0, 2, 1, 3] puts cells 0 and 1 in different halves, so the walk
+        // lists a block twice; [1, 2, 3, 0] lists a block out of order.
+        for perm in [[0, 2, 1, 3], [1, 2, 3, 0]] {
+            let m = CurveMapping::new("broken", GridSpec::new([3u64]), 0, 1, Permuted(perm));
+            assert!(
+                matches!(m, Err(MappingError::CurveContract { .. })),
+                "{perm:?}"
+            );
+        }
+        // A block swap keeps the contract.
+        let m = CurveMapping::new("swap", GridSpec::new([3u64]), 0, 1, Permuted([2, 3, 0, 1]));
+        assert_eq!(m.unwrap().curve_keys(), &[0, 2, 3]);
     }
 
     #[test]

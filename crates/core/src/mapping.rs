@@ -46,6 +46,14 @@ pub enum MappingError {
         /// Human-readable reason.
         reason: String,
     },
+    /// Cells were configured to occupy zero blocks.
+    ZeroCellBlocks,
+    /// A space-filling curve broke the subcube contract that curve
+    /// layouts are built on.
+    CurveContract {
+        /// Human-readable reason.
+        reason: String,
+    },
 }
 
 impl fmt::Display for MappingError {
@@ -59,6 +67,10 @@ impl fmt::Display for MappingError {
             }
             MappingError::InfeasibleBasicCube { reason } => {
                 write!(f, "no feasible basic cube: {reason}")
+            }
+            MappingError::ZeroCellBlocks => write!(f, "cells must occupy at least one block"),
+            MappingError::CurveContract { reason } => {
+                write!(f, "curve breaks the subcube contract: {reason}")
             }
         }
     }

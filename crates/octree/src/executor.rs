@@ -106,7 +106,7 @@ mod tests {
         let tree = earthquake_tree(&EarthquakeConfig::small());
         let geom = profiles::small();
         let volume = LogicalVolume::new(geom.clone(), 1);
-        let naive = LeafLinearMapping::new(&tree, LeafOrder::XMajor, 0);
+        let naive = LeafLinearMapping::new(&tree, LeafOrder::XMajor, 0).unwrap();
         let p = LeafPlacement::Linear(&naive);
         let exec = LeafQueryExecutor::new(&volume, 0);
 
@@ -127,7 +127,7 @@ mod tests {
         let tree = earthquake_tree(&EarthquakeConfig::small());
         let geom = profiles::small();
         let volume = LogicalVolume::new(geom.clone(), 1);
-        let naive = LeafLinearMapping::new(&tree, LeafOrder::XMajor, 0);
+        let naive = LeafLinearMapping::new(&tree, LeafOrder::XMajor, 0).unwrap();
         let (skewed, _) = SkewedMultiMap::build(&geom, &tree, 32).unwrap();
         let exec = LeafQueryExecutor::new(&volume, 0);
 

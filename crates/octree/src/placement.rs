@@ -11,7 +11,7 @@
 
 use multimap_core::{GridSpec, Mapping, MultiMapOptions, MultiMapping};
 use multimap_disksim::{DiskGeometry, Lbn};
-use multimap_sfc::{HilbertCurve, SpaceFillingCurve, ZCurve};
+use multimap_sfc::{CurveError, HilbertCurve, SpaceFillingCurve, ZCurve};
 
 use crate::regions::{detect_regions, UniformRegion};
 use crate::tree::{Leaf, Octree};
@@ -40,22 +40,34 @@ impl LeafOrder {
     }
 }
 
-/// Sort key of a leaf under the given order.
-fn leaf_key(order: LeafOrder, leaf: &Leaf, max_level: u32) -> u64 {
-    match order {
-        LeafOrder::XMajor => {
-            debug_assert!(max_level <= 20);
-            (leaf.corner[2] << 42) | (leaf.corner[1] << 21) | leaf.corner[0]
+/// X-major sort key of a leaf corner: `(z, y, x)` with X fastest.
+/// `Octree::build` caps `max_level` at 20, so each axis fits 21 bits.
+fn xmajor_key(corner: &[u64; 3]) -> u64 {
+    (corner[2] << 42) | (corner[1] << 21) | corner[0]
+}
+
+/// A [`LeafOrder`] with its curve built once.
+#[derive(Clone, Copy, Debug)]
+enum LeafKey {
+    XMajor,
+    ZOrder(ZCurve),
+    Hilbert(HilbertCurve),
+}
+
+impl LeafKey {
+    fn order(&self) -> LeafOrder {
+        match self {
+            LeafKey::XMajor => LeafOrder::XMajor,
+            LeafKey::ZOrder(_) => LeafOrder::ZOrder,
+            LeafKey::Hilbert(_) => LeafOrder::Hilbert,
         }
-        LeafOrder::ZOrder => {
-            // staticcheck: allow(no-unwrap) — debug_assert above bounds max_level at 20, under the per-axis bit cap.
-            let z = ZCurve::new(3, max_level.max(1)).expect("≤ 60 bits");
-            z.index(&leaf.corner)
-        }
-        LeafOrder::Hilbert => {
-            // staticcheck: allow(no-unwrap) — same max_level bound as the Z-order arm above.
-            let h = HilbertCurve::new(3, max_level.max(1)).expect("≤ 60 bits");
-            h.index(&leaf.corner)
+    }
+
+    fn of(&self, corner: &[u64; 3]) -> u64 {
+        match self {
+            LeafKey::XMajor => xmajor_key(corner),
+            LeafKey::ZOrder(z) => z.index(corner),
+            LeafKey::Hilbert(h) => h.index(corner),
         }
     }
 }
@@ -63,36 +75,56 @@ fn leaf_key(order: LeafOrder, leaf: &Leaf, max_level: u32) -> u64 {
 /// Linear placement: leaves sorted by [`LeafOrder`], stored at
 /// consecutive LBNs from `base_lbn` (one block per leaf).
 pub struct LeafLinearMapping {
-    order: LeafOrder,
+    key: LeafKey,
     base_lbn: Lbn,
-    max_level: u32,
+    /// Sort keys of all leaves, ascending.
     keys: Vec<u64>,
 }
 
 impl LeafLinearMapping {
     /// Order all leaves of `tree` and place them from `base_lbn`.
-    pub fn new(tree: &Octree, order: LeafOrder, base_lbn: Lbn) -> Self {
-        let max_level = tree.max_level();
+    ///
+    /// The curve orders cover the domain with a 3-D curve of `max_level`
+    /// bits per axis. Its shape error is the only failure, and it cannot
+    /// happen for a built [`Octree`]: `max_level` is capped at 20, so the
+    /// curve needs at most 60 bits.
+    pub fn new(tree: &Octree, order: LeafOrder, base_lbn: Lbn) -> Result<Self, CurveError> {
+        let bits = tree.max_level().max(1);
         let mut keys = Vec::with_capacity(tree.leaf_count().min(1 << 24) as usize);
-        tree.for_each_leaf(|l| keys.push(leaf_key(order, &l, max_level)));
-        keys.sort_unstable();
+        let key = match order {
+            LeafOrder::XMajor => {
+                tree.for_each_leaf(|l| keys.push(xmajor_key(&l.corner)));
+                keys.sort_unstable();
+                LeafKey::XMajor
+            }
+            // Curve orders come out of the tree walk already sorted.
+            LeafOrder::ZOrder => {
+                let z = ZCurve::new(3, bits)?;
+                tree.for_each_leaf_in_curve_order(&z, |_, k| keys.push(k));
+                LeafKey::ZOrder(z)
+            }
+            LeafOrder::Hilbert => {
+                let h = HilbertCurve::new(3, bits)?;
+                tree.for_each_leaf_in_curve_order(&h, |_, k| keys.push(k));
+                LeafKey::Hilbert(h)
+            }
+        };
         debug_assert!(keys.windows(2).all(|w| w[0] < w[1]));
-        LeafLinearMapping {
-            order,
+        Ok(LeafLinearMapping {
+            key,
             base_lbn,
-            max_level,
             keys,
-        }
+        })
     }
 
     /// Name of the underlying order.
     pub fn name(&self) -> &'static str {
-        self.order.name()
+        self.key.order().name()
     }
 
     /// LBN storing `leaf`.
     pub fn lbn_of_leaf(&self, leaf: &Leaf) -> Lbn {
-        let key = leaf_key(self.order, leaf, self.max_level);
+        let key = self.key.of(&leaf.corner);
         let pos = self.keys.partition_point(|&k| k < key);
         debug_assert!(pos < self.keys.len() && self.keys[pos] == key);
         self.base_lbn + pos as u64
@@ -182,7 +214,7 @@ impl SkewedMultiMap {
                 .iter()
                 .any(|(r, _)| r.contains_leaf(&leaf, max_level));
             if !owned {
-                leftover_keys.push(leaf_key(LeafOrder::XMajor, &leaf, max_level));
+                leftover_keys.push(xmajor_key(&leaf.corner));
             }
         });
         leftover_keys.sort_unstable();
@@ -229,7 +261,7 @@ impl SkewedMultiMap {
                     .expect("region cell coords are in the region grid");
             }
         }
-        let key = leaf_key(LeafOrder::XMajor, leaf, self.max_level);
+        let key = xmajor_key(&leaf.corner);
         let pos = self.leftover_keys.partition_point(|&k| k < key);
         debug_assert!(
             pos < self.leftover_keys.len() && self.leftover_keys[pos] == key,
@@ -266,7 +298,7 @@ mod tests {
     fn linear_mappings_are_dense_bijections() {
         let tree = small_tree();
         for order in [LeafOrder::XMajor, LeafOrder::ZOrder, LeafOrder::Hilbert] {
-            let m = LeafLinearMapping::new(&tree, order, 100);
+            let m = LeafLinearMapping::new(&tree, order, 100).unwrap();
             let mut seen = HashSet::new();
             tree.for_each_leaf(|l| {
                 let lbn = m.lbn_of_leaf(&l);
@@ -281,7 +313,7 @@ mod tests {
     #[test]
     fn xmajor_streams_along_x() {
         let tree = small_tree();
-        let m = LeafLinearMapping::new(&tree, LeafOrder::XMajor, 0);
+        let m = LeafLinearMapping::new(&tree, LeafOrder::XMajor, 0).unwrap();
         let mut leaves = tree.leaves();
         leaves.sort_by_key(|l| (l.corner[2], l.corner[1], l.corner[0]));
         for (i, l) in leaves.iter().enumerate() {

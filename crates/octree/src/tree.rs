@@ -6,6 +6,7 @@
 //! uses (Tu & O'Hallaron): elements of variable size, each a leaf of the
 //! octree.
 
+use multimap_sfc::SpaceFillingCurve;
 use serde::{Deserialize, Serialize};
 
 /// A leaf element of the octree.
@@ -32,6 +33,12 @@ impl Leaf {
 enum Node {
     Leaf,
     Internal(Box<[Node; 8]>),
+}
+
+/// Lower corner of child `i` of the node at `corner` whose children have
+/// side `half`: bits 0, 1 and 2 of `i` select the upper X, Y and Z half.
+fn child_corner(corner: [u64; 3], half: u64, i: usize) -> [u64; 3] {
+    std::array::from_fn(|d| corner[d] + ((i >> d) as u64 & 1) * half)
 }
 
 /// Decides how deep the tree must refine at a given region of space.
@@ -118,11 +125,7 @@ impl Octree {
         }
         let half = size / 2;
         let children = std::array::from_fn(|i| {
-            let child_corner = [
-                corner[0] + ((i as u64) & 1) * half,
-                corner[1] + ((i as u64 >> 1) & 1) * half,
-                corner[2] + ((i as u64 >> 2) & 1) * half,
-            ];
+            let child_corner = child_corner(corner, half, i);
             Self::build_node(level + 1, child_corner, half, max_level, refinement, leaves)
         });
         Node::Internal(Box::new(children))
@@ -161,12 +164,71 @@ impl Octree {
             Node::Internal(children) => {
                 let half = size / 2;
                 for (i, child) in children.iter().enumerate() {
-                    let child_corner = [
-                        corner[0] + ((i as u64) & 1) * half,
-                        corner[1] + ((i as u64 >> 1) & 1) * half,
-                        corner[2] + ((i as u64 >> 2) & 1) * half,
-                    ];
+                    let child_corner = child_corner(corner, half, i);
                     Self::walk(child, level + 1, child_corner, half, f);
+                }
+            }
+        }
+    }
+
+    /// Visit every leaf in ascending `curve` index of its corner, passing
+    /// that index along.
+    ///
+    /// A leaf is an aligned subcube, and the curve numbers every aligned
+    /// subcube as one contiguous, aligned index block (the
+    /// [`SpaceFillingCurve`] contract). Visiting each node's children in
+    /// the order of their blocks therefore visits all leaves in index
+    /// order, with one encode per node and no sort.
+    ///
+    /// # Panics
+    /// Panics unless `curve` has 3 dimensions and at least `max_level`
+    /// bits.
+    pub(crate) fn for_each_leaf_in_curve_order(
+        &self,
+        curve: &impl SpaceFillingCurve,
+        mut f: impl FnMut(Leaf, u64),
+    ) {
+        let root = [0, 0, 0];
+        let key = curve.index(&root);
+        Self::walk_curve(&self.root, 0, root, self.domain_size(), key, curve, &mut f);
+    }
+
+    fn walk_curve(
+        node: &Node,
+        level: u32,
+        corner: [u64; 3],
+        size: u64,
+        key: u64,
+        curve: &impl SpaceFillingCurve,
+        f: &mut impl FnMut(Leaf, u64),
+    ) {
+        match node {
+            Node::Leaf => f(
+                Leaf {
+                    level,
+                    corner,
+                    size,
+                },
+                key,
+            ),
+            Node::Internal(children) => {
+                let half = size / 2;
+                // The children's index blocks are the eight aligned blocks
+                // of `half^3` indices that make up the node's block, so
+                // the bits above a child's block number its visit slot.
+                // Child 0 shares the node's corner, hence its index.
+                let shift = 3 * half.trailing_zeros();
+                let mut order = [(0u64, 0usize); 8];
+                for i in 0..8 {
+                    let key = match i {
+                        0 => key,
+                        _ => curve.index(&child_corner(corner, half, i)),
+                    };
+                    order[((key >> shift) & 7) as usize] = (key, i);
+                }
+                for (key, i) in order {
+                    let child_corner = child_corner(corner, half, i);
+                    Self::walk_curve(&children[i], level + 1, child_corner, half, key, curve, f);
                 }
             }
         }
@@ -218,11 +280,7 @@ impl Octree {
             Node::Internal(children) => {
                 let half = size / 2;
                 for (i, child) in children.iter().enumerate() {
-                    let child_corner = [
-                        corner[0] + ((i as u64) & 1) * half,
-                        corner[1] + ((i as u64 >> 1) & 1) * half,
-                        corner[2] + ((i as u64 >> 2) & 1) * half,
-                    ];
+                    let child_corner = child_corner(corner, half, i);
                     Self::query(child, level + 1, child_corner, half, lo, hi, out);
                 }
             }
@@ -262,11 +320,7 @@ impl Octree {
                 let half = size / 2;
                 let mut child_levels = [None; 8];
                 for (i, child) in children.iter().enumerate() {
-                    let child_corner = [
-                        corner[0] + ((i as u64) & 1) * half,
-                        corner[1] + ((i as u64 >> 1) & 1) * half,
-                        corner[2] + ((i as u64 >> 2) & 1) * half,
-                    ];
+                    let child_corner = child_corner(corner, half, i);
                     child_levels[i] = Self::uniform(child, level + 1, child_corner, half, f, count);
                 }
                 let first = child_levels[0];
@@ -276,11 +330,7 @@ impl Octree {
                 // Not uniform: every uniform child subtree is maximal.
                 for (i, l) in child_levels.iter().enumerate() {
                     if let Some(leaf_level) = l {
-                        let child_corner = [
-                            corner[0] + ((i as u64) & 1) * half,
-                            corner[1] + ((i as u64 >> 1) & 1) * half,
-                            corner[2] + ((i as u64 >> 2) & 1) * half,
-                        ];
+                        let child_corner = child_corner(corner, half, i);
                         f(*leaf_level, child_corner, half);
                         *count += 1;
                     }
@@ -344,12 +394,8 @@ impl Octree {
         }
         let half = size / 2;
         let mut children = Vec::with_capacity(8);
-        for i in 0..8u64 {
-            let child_corner = [
-                corner[0] + (i & 1) * half,
-                corner[1] + ((i >> 1) & 1) * half,
-                corner[2] + ((i >> 2) & 1) * half,
-            ];
+        for i in 0..8 {
+            let child_corner = child_corner(corner, half, i);
             let inside: Vec<Leaf> = subset
                 .iter()
                 .filter(|l| {
@@ -396,6 +442,48 @@ mod tests {
                 boxes: vec![],
             },
         )
+    }
+
+    /// The walk's keys against encoding every leaf corner and sorting.
+    fn assert_walk_is_sorted_encode(tree: &Octree, curve: &impl SpaceFillingCurve) {
+        let mut walked = Vec::new();
+        tree.for_each_leaf_in_curve_order(curve, |leaf, key| {
+            assert_eq!(key, curve.index(&leaf.corner), "{leaf:?}");
+            walked.push(key);
+        });
+        let mut sorted: Vec<u64> = tree
+            .leaves()
+            .iter()
+            .map(|l| curve.index(&l.corner))
+            .collect();
+        sorted.sort_unstable();
+        assert_eq!(walked, sorted);
+    }
+
+    #[test]
+    fn curve_order_walk_matches_encode_then_sort() {
+        use crate::earthquake::{earthquake_tree, EarthquakeConfig};
+        use multimap_sfc::{GrayCurve, HilbertCurve, ZCurve};
+        let skewed = Octree::build(
+            5,
+            &BoxRefinement {
+                background: 1,
+                boxes: vec![([3, 9, 0], [12, 20, 31], 4), ([0, 0, 0], [2, 2, 2], 5)],
+            },
+        );
+        for tree in [
+            uniform_tree(0, 0),
+            uniform_tree(4, 2),
+            skewed,
+            earthquake_tree(&EarthquakeConfig::small()),
+        ] {
+            let bits = tree.max_level().max(1);
+            for extra in [0, 2] {
+                assert_walk_is_sorted_encode(&tree, &ZCurve::new(3, bits + extra).unwrap());
+                assert_walk_is_sorted_encode(&tree, &HilbertCurve::new(3, bits + extra).unwrap());
+                assert_walk_is_sorted_encode(&tree, &GrayCurve::new(3, bits + extra).unwrap());
+            }
+        }
     }
 
     #[test]

@@ -42,6 +42,18 @@ impl std::error::Error for CurveError {}
 
 /// A bijection between the points of a `2^bits`-sided `dims`-dimensional
 /// hypercube and the indices `0..2^(dims*bits)`.
+///
+/// # Subcube contract
+///
+/// Every implementation numbers each aligned subcube as one contiguous,
+/// aligned index block: for every `k` in `0..=bits`, the points whose
+/// coordinates agree above their low `k` bits are exactly the indices
+/// that agree above their low `dims * k` bits. Equivalently, an aligned
+/// subcube of side `2^k` holds the block
+/// `[j * 2^(dims*k), (j + 1) * 2^(dims*k))` for some `j`. Z-order,
+/// Hilbert and Gray curves all have this property; it lets a caller list
+/// the cells of a box, or of an octree, in index order by descending the
+/// subcube hierarchy instead of encoding and sorting every cell.
 pub trait SpaceFillingCurve {
     /// Number of dimensions.
     fn dims(&self) -> usize;

@@ -45,7 +45,7 @@ fn main() {
     );
 
     let baselines = [LeafOrder::XMajor, LeafOrder::ZOrder, LeafOrder::Hilbert]
-        .map(|o| LeafLinearMapping::new(&tree, o, 0));
+        .map(|o| LeafLinearMapping::new(&tree, o, 0).expect("an octree fits a 3-D curve"));
 
     // Beam queries along X, Y, Z through random anchors (paper Fig. 7a).
     let mut rng = StdRng::seed_from_u64(11);

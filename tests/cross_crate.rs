@@ -19,7 +19,7 @@ fn earthquake_pipeline_end_to_end() {
     let geom = profiles::small();
     let volume = LogicalVolume::new(geom.clone(), 1);
 
-    let naive = LeafLinearMapping::new(&tree, LeafOrder::XMajor, 0);
+    let naive = LeafLinearMapping::new(&tree, LeafOrder::XMajor, 0).unwrap();
     let (skewed, stats) = SkewedMultiMap::build(&geom, &tree, 32).unwrap();
     assert_eq!(
         stats.multimapped_leaves + stats.leftover_leaves,
