@@ -192,7 +192,7 @@ fn main() {
     let registry = multimap_telemetry::global();
     if multimap_telemetry::enabled() && !registry.is_empty() {
         let path = out_dir.join("telemetry.json");
-        match std::fs::write(&path, format!("{}\n", registry.to_json())) {
+        match std::fs::write(&path, registry.to_json().to_pretty()) {
             Ok(()) => println!("telemetry -> {}", path.display()),
             Err(e) => eprintln!("warning: could not save telemetry.json: {e}"),
         }

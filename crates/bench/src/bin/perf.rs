@@ -29,24 +29,15 @@
 //! (the cross-backend payload and RMW gates only run on the full
 //! matrix).
 //!
-//! Exit status is non-zero if any parallel table diverges from its
-//! serial reference, any telemetry-on table diverges from telemetry-off,
-//! the telemetry overhead exceeds the budget, a faulted query's payload
-//! differs from its fault-free reference, the incremental selector's
-//! window-4096 speedup over the linear rescan falls under the gate
-//! (5x at `large`/`paper` scale — the acceptance figure — or a softer
-//! 3x at `quick`, where short cells are fill/drain- and noise-bound),
-//! the adjacency prefetcher fails to beat plain sequential readahead
-//! on the MultiMap streaming-beam workload, any backend delivers a
-//! payload differing from its mapping's cross-backend reference, the
-//! IMR write sweep fails to amplify, or the IMR read path diverges
-//! bit-for-bit from the rotating disk.
+//! Exit status is non-zero if any rule a single run can check fails;
+//! the checks at the end of `main` list them, and `docs/performance.md`
+//! ("Gating a fresh run against a baseline") says which rules the
+//! `benchgate` bin applies to the written file instead.
 
 
 // staticcheck: allow-file(det-wall-clock) — wall-clock measurement is this binary's purpose: it times real runs and reports slowdowns, while asserting the simulated outputs stay byte-identical.
 // staticcheck: allow-file(no-unwrap) — benchmark/CLI binary: aborting with a message on a malformed run is the intended failure mode.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use multimap_bench::{
@@ -58,7 +49,8 @@ use multimap_core::{
 use multimap_disksim::{profiles, Discipline, DiskSim, FaultPlan, Request, BACKEND_NAMES};
 use multimap_lvm::{LogicalVolume, RecoveryConfig};
 use multimap_query::{QueryExecutor, QueryOp, QueryRequest};
-use multimap_telemetry::{Counter, Metrics};
+use multimap_telemetry::json::{obj, Value};
+use multimap_telemetry::Counter;
 
 /// Telemetry must cost less than this fraction of the sweep's wall time.
 const TELEMETRY_OVERHEAD_BUDGET: f64 = 0.05;
@@ -214,10 +206,6 @@ fn fault_overhead() -> FaultOverhead {
     out
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let out_path = args
@@ -308,8 +296,7 @@ fn main() {
     let overhead_iqr = quantile(&ratios, 0.75) - quantile(&ratios, 0.25);
 
     // The registry now holds exactly the last telemetry-on pass.
-    let sections = multimap_telemetry::global().sections();
-    let merged = Metrics::merge_ordered(sections.iter().map(|(_, m)| m));
+    let merged = multimap_telemetry::global().merged();
     multimap_telemetry::set_enabled(false);
 
     // Ablations ride along in the parallel pass only (they are one
@@ -370,10 +357,7 @@ fn main() {
             .find(|c| c.backend == backend && c.mapping == "MultiMap")
             .map(backends::BackendCell::beam_ms_per_query)
     };
-    let backend_imr_rewrites = backend_writes
-        .iter()
-        .find(|c| c.backend == "imr")
-        .map(|c| c.neighbor_rewrites);
+    let backend_imr_rewrites = backends::sweep_rewrites(&backend_writes, "imr");
     // The IMR read path delegates to the rotating mechanics, so on the
     // full matrix its query timings must match the disk bit-for-bit.
     let backend_imr_reads_identical = !full_matrix
@@ -413,273 +397,122 @@ fn main() {
 
     // Hit rates computed over fewer than HIT_RATE_FLOOR lookups are
     // start-up transient, not steady state (a handful of warm lookups
-    // reads as a flawless 1.0000 at quick scale): render those as
+    // reads as a flawless 1.0000 at quick scale): report those as
     // `null` (n/a) rather than a misleading number. See
     // docs/performance.md for why the seek memo's rate saturates low.
-    let rate_or_null = |r: Option<f64>| match r {
-        Some(v) => format!("{v:.4}"),
-        None => "null".to_string(),
-    };
-    let seek_hit_rate =
-        rate_or_null(merged.hit_rate_floored(Counter::SeekMemoHit, Counter::SeekMemoMiss));
-    let xlat_hit_rate = rate_or_null(
-        merged.hit_rate_floored(Counter::TranslationCacheHit, Counter::TranslationCacheMiss),
-    );
-
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"bench\": \"pr9_backend_matrix\",");
-    let _ = writeln!(
-        json,
-        "  \"backend_filter\": {},",
-        match filter {
-            Some(b) => format!("\"{}\"", json_escape(b)),
-            None => "null".to_string(),
-        }
-    );
-    let _ = writeln!(json, "  \"figure_scale\": \"quick\",");
-    let _ = writeln!(
-        json,
-        "  \"selection_scale\": \"{}\",",
-        selection_scale.slug()
-    );
-    let _ = writeln!(json, "  \"host_threads\": {host_threads},");
-    let _ = writeln!(json, "  \"engine_threads\": {parallel_threads},");
-    let _ = writeln!(json, "  \"sweep_cells\": {cells},");
-    let _ = writeln!(json, "  \"serial_wall_s\": {serial_s:.3},");
-    let _ = writeln!(json, "  \"parallel_wall_s\": {parallel_s:.3},");
-    let _ = writeln!(json, "  \"parallel_speedup\": {speedup:.2},");
-    let _ = writeln!(
-        json,
-        "  \"serial_cells_per_s\": {:.2},",
-        cells as f64 / serial_s
-    );
-    let _ = writeln!(
-        json,
-        "  \"parallel_cells_per_s\": {:.2},",
-        cells as f64 / parallel_s
-    );
-    let _ = writeln!(json, "  \"telemetry_off_wall_s\": {off_s:.3},");
-    let _ = writeln!(json, "  \"telemetry_on_wall_s\": {on_s:.3},");
-    let _ = writeln!(
-        json,
-        "  \"telemetry_overhead_pairs\": {TELEMETRY_OVERHEAD_PAIRS},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"telemetry_overhead_pct\": {:.2},",
-        overhead * 100.0
-    );
-    let _ = writeln!(
-        json,
-        "  \"telemetry_overhead_iqr_pct\": {:.2},",
-        overhead_iqr * 100.0
-    );
-    let _ = writeln!(
-        json,
-        "  \"telemetry_overhead_budget_pct\": {:.1},",
-        TELEMETRY_OVERHEAD_BUDGET * 100.0
-    );
-    let _ = writeln!(
-        json,
-        "  \"telemetry_identical_figures\": {},",
-        telemetry_divergent.is_empty()
-    );
-    let _ = writeln!(
-        json,
-        "  \"hit_rate_floor\": {},",
-        multimap_telemetry::HIT_RATE_FLOOR
-    );
-    let _ = writeln!(json, "  \"seek_memo_hit_rate\": {seek_hit_rate},");
-    let _ = writeln!(json, "  \"translation_cache_hit_rate\": {xlat_hit_rate},");
-    let _ = writeln!(json, "  \"telemetry\": {},", merged.to_json(2));
-    let _ = writeln!(json, "  \"ablations_wall_s\": {ablations_s:.3},");
-    let _ = writeln!(json, "  \"ablation_tables\": {},", ablation_tables.len());
-    let _ = writeln!(json, "  \"sptf_candidates_examined\": {examined},");
-    let _ = writeln!(
-        json,
-        "  \"sptf_candidates_examined_per_s\": {examined_rate:.0},"
-    );
-    let _ = writeln!(json, "  \"sptf_raw_estimates_per_s\": {raw_rate:.0},");
-    let _ = writeln!(json, "  \"sptf_batch_locate_calls\": {locates},");
-    let _ = writeln!(
-        json,
-        "  \"selection_windows\": [{}],",
-        selection::WINDOWS
-            .iter()
-            .map(|w| w.to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
-    let _ = writeln!(json, "  \"selection_cells\": [");
-    for (i, c) in sel_cells.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"profile\": \"{}\", \"window\": {}, \
-             \"incremental_decisions\": {}, \"incremental_per_s\": {:.0}, \
-             \"reference_decisions\": {}, \"reference_per_s\": {:.0}, \
-             \"speedup\": {:.2}, \"candidates_per_decision\": {:.2}}}{}",
-            json_escape(c.profile),
-            c.window,
-            c.incremental_decisions,
-            c.incremental_per_s,
-            c.reference_decisions,
-            c.reference_per_s,
-            c.speedup,
-            c.candidates_per_decision,
-            if i + 1 == sel_cells.len() { "" } else { "," }
-        );
-    }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(
-        json,
-        "  \"selection_speedup_w4096\": {sel_speedup_w4096:.2},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"selection_incremental_per_s_w4096\": {sel_inc_w4096:.0},"
-    );
-    let _ = writeln!(json, "  \"selection_speedup_gate\": {sel_gate:.1},");
-    let _ = writeln!(json, "  \"fault_clean_io_ms\": {:.3},", fault.clean_io_ms);
-    let _ = writeln!(
-        json,
-        "  \"fault_degraded_io_ms\": {:.3},",
-        fault.degraded_io_ms
-    );
-    let _ = writeln!(
-        json,
-        "  \"degraded_overhead_pct\": {:.2},",
-        fault.overhead_pct
-    );
-    let _ = writeln!(
-        json,
-        "  \"fault_payload_match\": {},",
-        fault.payload_match
-    );
-    let _ = writeln!(json, "  \"fault_retries\": {},", fault.retries);
-    let _ = writeln!(json, "  \"fault_remaps\": {},", fault.remaps);
-    let _ = writeln!(json, "  \"cache_wall_s\": {cache_wall_s:.3},");
-    let _ = writeln!(
-        json,
-        "  \"cache_capacities\": [{}],",
-        pagecache::CAPACITIES
-            .iter()
-            .map(|c| c.to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
-    let _ = writeln!(json, "  \"cache_cells\": [");
-    for (i, c) in cache_cells.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"mapping\": \"{}\", \"policy\": \"{}\", \"prefetch\": \"{}\", \
-             \"capacity\": {}, \"hits\": {}, \"misses\": {}, \"hit_rate\": {:.4}, \
-             \"prefetch_issued\": {}, \"prefetch_used\": {}, \
-             \"prefetch_efficiency\": {:.4}, \"evictions\": {}, \"io_ms\": {:.3}}}{}",
-            json_escape(&c.mapping),
-            c.policy,
-            c.prefetch,
-            c.capacity,
-            c.hits,
-            c.misses,
-            c.hit_rate(),
-            c.prefetch_issued,
-            c.prefetch_used,
-            c.prefetch_efficiency(),
-            c.evictions,
-            c.io_ms,
-            if i + 1 == cache_cells.len() { "" } else { "," }
-        );
-    }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(
-        json,
-        "  \"cache_mm_adjacency_hit_rate\": {cache_mm_adj:.4},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"cache_mm_sequential_hit_rate\": {cache_mm_seq:.4},"
-    );
-    let _ = writeln!(json, "  \"backend_wall_s\": {backend_wall_s:.3},");
-    let _ = writeln!(json, "  \"backend_cells\": [");
-    for (i, c) in backend_cells.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"backend\": \"{}\", \"mapping\": \"{}\", \"beams\": {}, \
-             \"beam_ms\": {:.4}, \"range_ms\": {:.4}, \"requests\": {}, \
-             \"payload\": {}}}{}",
-            c.backend,
-            json_escape(&c.mapping),
-            c.beams,
-            c.beam_ms_per_query(),
-            c.range_io_ms,
-            c.requests,
-            c.payload,
-            if i + 1 == backend_cells.len() { "" } else { "," }
-        );
-    }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"backend_write_cells\": [");
-    for (i, c) in backend_writes.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"backend\": \"{}\", \"pages\": {}, \"blocks\": {}, \
-             \"io_ms\": {:.4}, \"neighbor_rewrites\": {}}}{}",
-            c.backend,
-            c.pages,
-            c.blocks,
-            c.io_ms,
-            c.neighbor_rewrites,
-            if i + 1 == backend_writes.len() { "" } else { "," }
-        );
-    }
-    let _ = writeln!(json, "  ],");
-    let num_or_null = |v: Option<f64>| match v {
-        Some(v) => format!("{v:.4}"),
-        None => "null".to_string(),
-    };
-    let _ = writeln!(
-        json,
-        "  \"backend_disk_mm_beam_ms\": {},",
-        num_or_null(backend_beam_ms("disk"))
-    );
-    let _ = writeln!(
-        json,
-        "  \"backend_ssd_mm_beam_ms\": {},",
-        num_or_null(backend_beam_ms("ssd"))
-    );
-    let _ = writeln!(
-        json,
-        "  \"backend_imr_mm_beam_ms\": {},",
-        num_or_null(backend_beam_ms("imr"))
-    );
-    let _ = writeln!(
-        json,
-        "  \"backend_imr_rmw_rewrites\": {},",
-        match backend_imr_rewrites {
-            Some(v) => v.to_string(),
-            None => "null".to_string(),
-        }
-    );
-    let _ = writeln!(
-        json,
-        "  \"backend_payload_match\": {backend_payload_match},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"backend_imr_reads_identical\": {backend_imr_reads_identical},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"divergent_figures\": [{}],",
-        divergent
-            .iter()
-            .map(|d| format!("\"{}\"", json_escape(d)))
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
-    let _ = writeln!(json, "  \"deterministic\": {}", divergent.is_empty());
-    let _ = writeln!(json, "}}");
+    let fixed = Value::fixed;
+    let floored_rate = |hit, miss| Value::fixed(merged.hit_rate_floored(hit, miss), 4);
+    let ints = |xs: &[usize]| Value::Arr(xs.iter().map(|&x| x.into()).collect());
+    let selection_rows = sel_cells.iter().map(|c| {
+        obj([
+            ("profile", c.profile.into()),
+            ("window", c.window.into()),
+            ("incremental_decisions", c.incremental_decisions.into()),
+            ("incremental_per_s", fixed(c.incremental_per_s, 0)),
+            ("reference_decisions", c.reference_decisions.into()),
+            ("reference_per_s", fixed(c.reference_per_s, 0)),
+            ("speedup", fixed(c.speedup, 2)),
+            ("candidates_per_decision", fixed(c.candidates_per_decision, 2)),
+        ])
+    });
+    let cache_rows = cache_cells.iter().map(|c| {
+        obj([
+            ("mapping", c.mapping.as_str().into()),
+            ("policy", c.policy.into()),
+            ("prefetch", c.prefetch.into()),
+            ("capacity", c.capacity.into()),
+            ("hits", c.hits.into()),
+            ("misses", c.misses.into()),
+            ("hit_rate", fixed(c.hit_rate(), 4)),
+            ("prefetch_issued", c.prefetch_issued.into()),
+            ("prefetch_used", c.prefetch_used.into()),
+            ("prefetch_efficiency", fixed(c.prefetch_efficiency(), 4)),
+            ("evictions", c.evictions.into()),
+            ("io_ms", fixed(c.io_ms, 3)),
+        ])
+    });
+    let backend_rows = backend_cells.iter().map(|c| {
+        obj([
+            ("backend", c.backend.into()),
+            ("mapping", c.mapping.as_str().into()),
+            ("beams", c.beams.into()),
+            ("beam_ms", fixed(c.beam_ms_per_query(), 4)),
+            ("range_ms", fixed(c.range_io_ms, 4)),
+            ("requests", c.requests.into()),
+            ("payload", c.payload.into()),
+        ])
+    });
+    let write_rows = backend_writes.iter().map(|c| {
+        obj([
+            ("backend", c.backend.into()),
+            ("pages", c.pages.into()),
+            ("blocks", c.blocks.into()),
+            ("io_ms", fixed(c.io_ms, 4)),
+            ("neighbor_rewrites", c.neighbor_rewrites.into()),
+        ])
+    });
+    let json = obj([
+        ("bench", "pr9_backend_matrix".into()),
+        ("backend_filter", filter.map_or(Value::Null, Into::into)),
+        ("figure_scale", "quick".into()),
+        ("selection_scale", selection_scale.slug().into()),
+        ("host_threads", host_threads.into()),
+        ("engine_threads", parallel_threads.into()),
+        ("sweep_cells", cells.into()),
+        ("serial_wall_s", fixed(serial_s, 3)),
+        ("parallel_wall_s", fixed(parallel_s, 3)),
+        ("parallel_speedup", fixed(speedup, 2)),
+        ("serial_cells_per_s", fixed(cells as f64 / serial_s, 2)),
+        ("parallel_cells_per_s", fixed(cells as f64 / parallel_s, 2)),
+        ("telemetry_off_wall_s", fixed(off_s, 3)),
+        ("telemetry_on_wall_s", fixed(on_s, 3)),
+        ("telemetry_overhead_pairs", TELEMETRY_OVERHEAD_PAIRS.into()),
+        ("telemetry_overhead_pct", fixed(overhead * 100.0, 2)),
+        ("telemetry_overhead_iqr_pct", fixed(overhead_iqr * 100.0, 2)),
+        ("telemetry_overhead_budget_pct", fixed(TELEMETRY_OVERHEAD_BUDGET * 100.0, 1)),
+        ("telemetry_identical_figures", telemetry_divergent.is_empty().into()),
+        ("hit_rate_floor", multimap_telemetry::HIT_RATE_FLOOR.into()),
+        ("seek_memo_hit_rate", floored_rate(Counter::SeekMemoHit, Counter::SeekMemoMiss)),
+        (
+            "translation_cache_hit_rate",
+            floored_rate(Counter::TranslationCacheHit, Counter::TranslationCacheMiss),
+        ),
+        ("telemetry", merged.to_json()),
+        ("ablations_wall_s", fixed(ablations_s, 3)),
+        ("ablation_tables", ablation_tables.len().into()),
+        ("sptf_candidates_examined", examined.into()),
+        ("sptf_candidates_examined_per_s", fixed(examined_rate, 0)),
+        ("sptf_raw_estimates_per_s", fixed(raw_rate, 0)),
+        ("sptf_batch_locate_calls", locates.into()),
+        ("selection_windows", ints(&selection::WINDOWS)),
+        ("selection_cells", Value::Arr(selection_rows.collect())),
+        ("selection_speedup_w4096", fixed(sel_speedup_w4096, 2)),
+        ("selection_incremental_per_s_w4096", fixed(sel_inc_w4096, 0)),
+        ("selection_speedup_gate", fixed(sel_gate, 1)),
+        ("fault_clean_io_ms", fixed(fault.clean_io_ms, 3)),
+        ("fault_degraded_io_ms", fixed(fault.degraded_io_ms, 3)),
+        ("degraded_overhead_pct", fixed(fault.overhead_pct, 2)),
+        ("fault_payload_match", fault.payload_match.into()),
+        ("fault_retries", fault.retries.into()),
+        ("fault_remaps", fault.remaps.into()),
+        ("cache_wall_s", fixed(cache_wall_s, 3)),
+        ("cache_capacities", ints(&pagecache::CAPACITIES)),
+        ("cache_cells", Value::Arr(cache_rows.collect())),
+        ("cache_mm_adjacency_hit_rate", fixed(cache_mm_adj, 4)),
+        ("cache_mm_sequential_hit_rate", fixed(cache_mm_seq, 4)),
+        ("backend_wall_s", fixed(backend_wall_s, 3)),
+        ("backend_cells", Value::Arr(backend_rows.collect())),
+        ("backend_write_cells", Value::Arr(write_rows.collect())),
+        ("backend_disk_mm_beam_ms", Value::fixed(backend_beam_ms("disk"), 4)),
+        ("backend_ssd_mm_beam_ms", Value::fixed(backend_beam_ms("ssd"), 4)),
+        ("backend_imr_mm_beam_ms", Value::fixed(backend_beam_ms("imr"), 4)),
+        ("backend_imr_rmw_rewrites", backend_imr_rewrites.map_or(Value::Null, Into::into)),
+        ("backend_payload_match", backend_payload_match.into()),
+        ("backend_imr_reads_identical", backend_imr_reads_identical.into()),
+        ("divergent_figures", Value::Arr(divergent.iter().map(|&d| d.into()).collect())),
+        ("deterministic", divergent.is_empty().into()),
+    ])
+    .to_pretty();
 
     if let Err(e) = std::fs::write(&out_path, &json) {
         eprintln!("error: could not write {out_path}: {e}");

@@ -18,33 +18,9 @@
 
 // staticcheck: allow-file(no-unwrap) — benchmark/CLI binary: aborting with a message on a malformed run is the intended failure mode.
 
-use std::fmt::Write as _;
-
-use multimap_bench::serving::{serving_sweep, serving_table, ServingCell, TENANT_COUNTS};
+use multimap_bench::serving::{serving_sweep, serving_table, TENANT_COUNTS};
 use multimap_bench::Scale;
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-fn quant(v: Option<f64>) -> String {
-    match v {
-        Some(x) => format!("{x:.3}"),
-        None => "null".to_string(),
-    }
-}
-
-/// The byte-identity witness of one sweep: every report's JSON plus its
-/// digest, concatenated in cell order.
-fn sweep_witness(cells: &[ServingCell]) -> String {
-    let mut out = String::new();
-    for c in cells {
-        let _ = writeln!(out, "{:016x}", c.report.digest);
-        out.push_str(&c.report.to_json());
-        out.push('\n');
-    }
-    out
-}
+use multimap_telemetry::json::{obj, Value};
 
 fn main() {
     let mut out_path = "BENCH_pr10.json".to_string();
@@ -71,14 +47,15 @@ fn main() {
         }
     }
 
-    // Serial reference, then a 4-worker replay: the sweep must be
-    // byte-identical at any thread count.
+    // Serial reference, then a 4-worker replay: every report, trace
+    // included, must be bit-identical at any thread count.
     multimap_engine::set_threads(1);
     let serial = serving_sweep(scale);
     multimap_engine::set_threads(4);
     let parallel = serving_sweep(scale);
     multimap_engine::set_threads(0);
-    let identity = sweep_witness(&serial) == sweep_witness(&parallel);
+    let identity = serial.len() == parallel.len()
+        && serial.iter().zip(&parallel).all(|(s, p)| s.report.identical(&p.report));
 
     let table = serving_table(&serial);
     println!("{}", table.render());
@@ -90,7 +67,7 @@ fn main() {
     // (bucketed quantiles can tie at an edge) and its exact mean must be
     // strictly lower, for every (tenants, policy) combination.
     let mut tail_advantage = true;
-    let mut advantage_rows = Vec::new();
+    let mut tail_rows = Vec::new();
     for c in serial.iter().filter(|c| {
         c.spec.backend == "disk" && c.spec.mapping == "MultiMap"
     }) {
@@ -109,85 +86,64 @@ fn main() {
             (Some(mq), Some(nq), Some(mm), Some(nm)) => mq <= nq && mm < nm,
             _ => false,
         };
-        if !holds {
-            tail_advantage = false;
-        }
-        advantage_rows.push((
-            c.spec.tenants,
-            c.spec.policy.slug(),
-            mp99,
-            np99,
-            mmean,
-            nmean,
-            holds,
-        ));
+        tail_advantage &= holds;
+        tail_rows.push(obj([
+            ("tenants", c.spec.tenants.into()),
+            ("policy", c.spec.policy.slug().into()),
+            ("multimap_p99_ms", Value::fixed(mp99, 3)),
+            ("naive_p99_ms", Value::fixed(np99, 3)),
+            ("multimap_mean_ms", Value::fixed(mmean, 3)),
+            ("naive_mean_ms", Value::fixed(nmean, 3)),
+            ("holds", holds.into()),
+        ]));
     }
-
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"bench\": \"pr10-serving\",");
-    let _ = writeln!(json, "  \"scale\": \"{}\",", scale.slug());
-    let _ = writeln!(json, "  \"gates\": {{");
-    let _ = writeln!(json, "    \"serving_identity\": {identity},");
-    let _ = writeln!(json, "    \"max_concurrent_tenants\": {max_tenants},");
-    let _ = writeln!(json, "    \"tail_advantage_disk\": {tail_advantage}");
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"tail_advantage\": [");
-    for (i, (tenants, policy, mq, nq, mm, nm, holds)) in advantage_rows.iter().enumerate() {
-        let comma = if i + 1 < advantage_rows.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    {{\"tenants\": {tenants}, \"policy\": \"{policy}\", \
-             \"multimap_p99_ms\": {}, \"naive_p99_ms\": {}, \
-             \"multimap_mean_ms\": {}, \"naive_mean_ms\": {}, \"holds\": {holds}}}{comma}",
-            quant(*mq),
-            quant(*nq),
-            quant(*mm),
-            quant(*nm),
-        );
-    }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"cells\": [");
-    for (i, c) in serial.iter().enumerate() {
-        let comma = if i + 1 < serial.len() { "," } else { "" };
-        let _ = writeln!(json, "    {{");
-        let _ = writeln!(json, "      \"backend\": \"{}\",", json_escape(c.spec.backend));
-        let _ = writeln!(json, "      \"mapping\": \"{}\",", json_escape(c.spec.mapping));
-        let _ = writeln!(json, "      \"tenants\": {},", c.spec.tenants);
-        let _ = writeln!(json, "      \"policy\": \"{}\",", c.spec.policy.slug());
-        let _ = writeln!(json, "      \"completed\": {},", c.completed());
-        let _ = writeln!(json, "      \"shed\": {},", c.shed());
-        let _ = writeln!(json, "      \"rejected\": {},", c.rejected());
-        let _ = writeln!(json, "      \"p50_ms\": {},", quant(c.merged_quantile(0.50)));
-        let _ = writeln!(json, "      \"p99_ms\": {},", quant(c.merged_quantile(0.99)));
-        let _ = writeln!(json, "      \"p999_ms\": {},", quant(c.merged_quantile(0.999)));
-        let _ = writeln!(json, "      \"mean_ms\": {},", quant(c.merged_mean()));
-        let _ = writeln!(json, "      \"makespan_ms\": {:.3},", c.report.makespan_ms);
-        let _ = writeln!(json, "      \"digest\": \"{:016x}\",", c.report.digest);
-        let _ = writeln!(json, "      \"tenant_detail\": [");
-        for (j, t) in c.report.tenants.iter().enumerate() {
-            let tcomma = if j + 1 < c.report.tenants.len() { "," } else { "" };
-            let _ = writeln!(
-                json,
-                "        {{\"name\": \"{}\", \"submitted\": {}, \"completed\": {}, \
-                 \"shed_deadline\": {}, \"rejected_queue_full\": {}, \"disk_requests\": {}, \
-                 \"p50_ms\": {}, \"p99_ms\": {}, \"p999_ms\": {}}}{tcomma}",
-                json_escape(&t.name),
-                t.submitted,
-                t.completed,
-                t.shed_deadline,
-                t.rejected_queue_full,
-                t.disk_requests,
-                quant(t.p50()),
-                quant(t.p99()),
-                quant(t.p999()),
-            );
-        }
-        let _ = writeln!(json, "      ]");
-        let _ = writeln!(json, "    }}{comma}");
-    }
-    let _ = writeln!(json, "  ]");
-    let _ = writeln!(json, "}}");
+    let tail_rows = Value::Arr(tail_rows);
+    let cells = serial.iter().map(|c| {
+        let tenant_detail = c.report.tenants.iter().map(|t| {
+            obj([
+                ("name", t.name.as_str().into()),
+                ("submitted", t.submitted.into()),
+                ("completed", t.completed.into()),
+                ("shed_deadline", t.shed_deadline.into()),
+                ("rejected_queue_full", t.rejected_queue_full.into()),
+                ("disk_requests", t.disk_requests.into()),
+                ("p50_ms", Value::fixed(t.p50(), 3)),
+                ("p99_ms", Value::fixed(t.p99(), 3)),
+                ("p999_ms", Value::fixed(t.p999(), 3)),
+            ])
+        });
+        obj([
+            ("backend", c.spec.backend.into()),
+            ("mapping", c.spec.mapping.into()),
+            ("tenants", c.spec.tenants.into()),
+            ("policy", c.spec.policy.slug().into()),
+            ("completed", c.completed().into()),
+            ("shed", c.shed().into()),
+            ("rejected", c.rejected().into()),
+            ("p50_ms", Value::fixed(c.merged_quantile(0.50), 3)),
+            ("p99_ms", Value::fixed(c.merged_quantile(0.99), 3)),
+            ("p999_ms", Value::fixed(c.merged_quantile(0.999), 3)),
+            ("mean_ms", Value::fixed(c.merged_mean(), 3)),
+            ("makespan_ms", Value::fixed(c.report.makespan_ms, 3)),
+            ("digest", Value::Str(format!("{:016x}", c.report.digest))),
+            ("tenant_detail", Value::Arr(tenant_detail.collect())),
+        ])
+    });
+    let json = obj([
+        ("bench", "pr10-serving".into()),
+        ("scale", scale.slug().into()),
+        (
+            "gates",
+            obj([
+                ("serving_identity", identity.into()),
+                ("max_concurrent_tenants", max_tenants.into()),
+                ("tail_advantage_disk", tail_advantage.into()),
+            ]),
+        ),
+        ("tail_advantage", tail_rows.clone()),
+        ("cells", Value::Arr(cells.collect())),
+    ])
+    .to_pretty();
 
     std::fs::write(&out_path, &json).expect("write bench json");
     println!("wrote {out_path}");
@@ -202,7 +158,8 @@ fn main() {
     }
     if !tail_advantage {
         eprintln!(
-            "GATE FAILED: MultiMap merged p99 exceeds Naive on the rotating disk: {advantage_rows:?}"
+            "GATE FAILED: MultiMap merged p99 exceeds Naive on the rotating disk: {}",
+            tail_rows.to_pretty()
         );
         std::process::exit(1);
     }

@@ -22,6 +22,7 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod figure_plots;
+pub mod gate;
 pub mod harness;
 pub mod model_fig;
 pub mod pagecache;

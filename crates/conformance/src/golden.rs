@@ -16,7 +16,6 @@
 //! Floats are written with Rust's shortest round-trip formatting, so a
 //! comparison after parse-back is exact to the bit.
 
-use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 use multimap_disksim::{
@@ -26,7 +25,7 @@ use multimap_lvm::{LogicalVolume, SchedulePolicy};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use crate::json::{self, Value};
+use multimap_telemetry::json::{self, obj, Value};
 
 /// One entry of the golden workload matrix.
 pub struct GoldenCase {
@@ -152,23 +151,23 @@ pub fn trace_to_json(case: &GoldenCase, trace: &Trace) -> Value {
         .records()
         .iter()
         .map(|r| {
-            let mut m = BTreeMap::new();
-            m.insert("start_ms".into(), Value::Num(r.start_ms));
-            m.insert("lbn".into(), Value::Num(r.lbn as f64));
-            m.insert("nblocks".into(), Value::Num(r.nblocks as f64));
-            m.insert("overhead_ms".into(), Value::Num(r.overhead_ms));
-            m.insert("seek_ms".into(), Value::Num(r.seek_ms));
-            m.insert("rotation_ms".into(), Value::Num(r.rotation_ms));
-            m.insert("transfer_ms".into(), Value::Num(r.transfer_ms));
-            Value::Obj(m)
+            obj([
+                ("start_ms", Value::Num(r.start_ms)),
+                ("lbn", r.lbn.into()),
+                ("nblocks", r.nblocks.into()),
+                ("overhead_ms", Value::Num(r.overhead_ms)),
+                ("seek_ms", Value::Num(r.seek_ms)),
+                ("rotation_ms", Value::Num(r.rotation_ms)),
+                ("transfer_ms", Value::Num(r.transfer_ms)),
+            ])
         })
         .collect();
-    let mut top = BTreeMap::new();
-    top.insert("profile".into(), Value::Str(case.profile.into()));
-    top.insert("workload".into(), Value::Str(case.workload.into()));
-    top.insert("policy".into(), Value::Str(format!("{:?}", case.policy)));
-    top.insert("records".into(), Value::Arr(records));
-    Value::Obj(top)
+    obj([
+        ("profile", case.profile.into()),
+        ("workload", case.workload.into()),
+        ("policy", Value::Str(format!("{:?}", case.policy))),
+        ("records", Value::Arr(records)),
+    ])
 }
 
 /// Parse the record stream back out of a golden file.
@@ -180,21 +179,13 @@ pub fn records_from_json(v: &Value) -> Result<Vec<TraceRecord>, String> {
     arr.iter()
         .enumerate()
         .map(|(i, r)| {
-            let num = |k: &str| {
-                r.get(k)
-                    .and_then(Value::as_f64)
-                    .ok_or(format!("record {i}: missing '{k}'"))
-            };
+            let missing = |k: &str| format!("record {i}: missing '{k}'");
+            let num = |k: &str| r.get(k).and_then(Value::as_f64).ok_or_else(|| missing(k));
+            let int = |k: &str| r.get(k).and_then(Value::as_u64).ok_or_else(|| missing(k));
             Ok(TraceRecord {
                 start_ms: num("start_ms")?,
-                lbn: r
-                    .get("lbn")
-                    .and_then(Value::as_u64)
-                    .ok_or(format!("record {i}: missing 'lbn'"))?,
-                nblocks: r
-                    .get("nblocks")
-                    .and_then(Value::as_u64)
-                    .ok_or(format!("record {i}: missing 'nblocks'"))?,
+                lbn: int("lbn")?,
+                nblocks: int("nblocks")?,
                 overhead_ms: num("overhead_ms")?,
                 seek_ms: num("seek_ms")?,
                 rotation_ms: num("rotation_ms")?,

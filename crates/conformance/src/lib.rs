@@ -53,7 +53,6 @@ pub mod cache;
 pub mod differential;
 pub mod fault;
 pub mod golden;
-pub mod json;
 pub mod oracle;
 pub mod serving;
 

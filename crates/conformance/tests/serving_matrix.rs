@@ -97,7 +97,7 @@ fn serving_matrix_is_thread_count_invariant() {
             let report =
                 multimap_server::serve_scenario(&volume, &mapping, &scenario(policies[p]))
                     .expect("scenario serves");
-            format!("{:016x}\n{}", report.digest, report.to_json())
+            format!("{:016x}\n{}", report.digest, report.to_json().to_pretty())
         })
     };
     multimap_engine::set_threads(1);

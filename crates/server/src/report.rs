@@ -1,5 +1,6 @@
 //! Per-tenant SLO reports and the scenario-level serving report.
 
+use multimap_telemetry::json::{obj, Value};
 use multimap_telemetry::{Histogram, Metrics};
 
 /// How one submitted request ended.
@@ -165,56 +166,37 @@ impl ServingReport {
                 .all(|(a, b)| a.identical(b))
     }
 
-    /// Deterministic JSON summary (no trace — counters, SLO quantiles,
-    /// and the digest), stable enough to diff byte-for-byte.
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let quant = |v: Option<f64>| match v {
-            Some(x) => format!("{x:.3}"),
-            None => "null".to_string(),
-        };
-        let mut out = String::new();
-        let _ = writeln!(out, "{{");
-        let _ = writeln!(out, "  \"backend\": \"{}\",", self.backend);
-        let _ = writeln!(out, "  \"mapping\": \"{}\",", self.mapping);
-        let _ = writeln!(out, "  \"policy\": \"{}\",", self.policy);
-        let _ = writeln!(out, "  \"batches\": {},", self.batches);
-        let _ = writeln!(out, "  \"dispatched_requests\": {},", self.dispatched_requests);
-        let _ = writeln!(out, "  \"makespan_ms\": {:.6},", self.makespan_ms);
-        let _ = writeln!(out, "  \"digest\": \"{:016x}\",", self.digest);
-        let _ = writeln!(out, "  \"tenants\": [");
-        for (i, t) in self.tenants.iter().enumerate() {
-            let comma = if i + 1 < self.tenants.len() { "," } else { "" };
-            let _ = writeln!(
-                out,
-                "    {{\"name\": \"{}\", \"submitted\": {}, \"admitted\": {}, \"completed\": {}, \
-                 \"shed_deadline\": {}, \"rejected_queue_full\": {}, \"disk_requests\": {}, \
-                 \"p50_ms\": {}, \"p99_ms\": {}, \"p999_ms\": {}, \"mean_ms\": {}, \"max_ms\": {}}}{comma}",
-                t.name,
-                t.submitted,
-                t.admitted,
-                t.completed,
-                t.shed_deadline,
-                t.rejected_queue_full,
-                t.disk_requests,
-                quant(t.p50()),
-                quant(t.p99()),
-                quant(t.p999()),
-                if t.latency.count() == 0 {
-                    "null".to_string()
-                } else {
-                    format!("{:.6}", t.latency.mean_ms())
-                },
-                if t.latency.count() == 0 {
-                    "null".to_string()
-                } else {
-                    format!("{:.6}", t.latency.max_ms())
-                },
-            );
-        }
-        let _ = writeln!(out, "  ]");
-        let _ = write!(out, "}}");
-        out
+    /// Deterministic JSON summary (no trace — counters, SLO quantiles to
+    /// 3 decimals, means and maxima to 6, `null` when nothing completed,
+    /// and the digest as 16 hex digits), stable enough to diff.
+    pub fn to_json(&self) -> Value {
+        let tenants = self.tenants.iter().map(|t| {
+            let measured = |x: f64| Value::fixed((t.latency.count() > 0).then_some(x), 6);
+            obj([
+                ("name", t.name.as_str().into()),
+                ("submitted", t.submitted.into()),
+                ("admitted", t.admitted.into()),
+                ("completed", t.completed.into()),
+                ("shed_deadline", t.shed_deadline.into()),
+                ("rejected_queue_full", t.rejected_queue_full.into()),
+                ("disk_requests", t.disk_requests.into()),
+                ("p50_ms", Value::fixed(t.p50(), 3)),
+                ("p99_ms", Value::fixed(t.p99(), 3)),
+                ("p999_ms", Value::fixed(t.p999(), 3)),
+                ("mean_ms", measured(t.latency.mean_ms())),
+                ("max_ms", measured(t.latency.max_ms())),
+            ])
+        });
+        obj([
+            ("backend", self.backend.as_str().into()),
+            ("mapping", self.mapping.as_str().into()),
+            ("policy", self.policy.as_str().into()),
+            ("batches", self.batches.into()),
+            ("dispatched_requests", self.dispatched_requests.into()),
+            ("makespan_ms", Value::fixed(self.makespan_ms, 6)),
+            ("digest", Value::Str(format!("{:016x}", self.digest))),
+            ("tenants", Value::Arr(tenants.collect())),
+        ])
     }
 }
 

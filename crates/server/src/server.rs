@@ -12,8 +12,6 @@
 //! forward to the next arrival. Everything runs on the simulated clock;
 //! the loop is serial and byte-identically replayable.
 
-use std::collections::{BTreeMap, VecDeque};
-
 use multimap_core::{BoxRegion, Mapping};
 use multimap_disksim::{DeviceModel, Request};
 use multimap_lvm::{SchedulePolicy, Volume};
@@ -292,7 +290,8 @@ pub fn serve_scenario<D: DeviceModel>(
         );
 
         // Translate each tenant request's beam into per-cell disk
-        // requests, remembering which batch entry owns each one.
+        // requests, remembering which batch entry owns each one
+        // (`owners[i]` owns `reqs[i]`).
         let mut reqs: Vec<Request> = Vec::new();
         let mut owners: Vec<usize> = Vec::new();
         for (bi, q) in batch.iter().enumerate() {
@@ -303,15 +302,6 @@ pub fn serve_scenario<D: DeviceModel>(
                 owners.push(bi);
             }
         }
-        // Attribution: the device reports events by request identity,
-        // so map (lbn, nblocks) back to submission indices. Identical
-        // requests from different tenants are matched first-submitted
-        // to first-served — deterministic, and timing-equivalent.
-        let mut by_key: BTreeMap<(u64, u64), VecDeque<usize>> = BTreeMap::new();
-        for (i, r) in reqs.iter().enumerate() {
-            by_key.entry((r.lbn, r.nblocks)).or_default().push_back(i);
-        }
-
         let (_, log) = volume.service_batch_logged(
             0,
             &reqs,
@@ -321,16 +311,15 @@ pub fn serve_scenario<D: DeviceModel>(
         let transitions = volume.classify_events(0, events)?;
         let mut completion = vec![0.0f64; batch.len()];
         for (e, tr) in events.iter().zip(transitions.iter()) {
-            let i = by_key
-                .get_mut(&(e.request.lbn, e.request.nblocks))
-                .and_then(|q| q.pop_front())
-                .ok_or_else(|| {
-                    ServerError::Config(format!(
-                        "device reported an event for an unsubmitted request at lbn {}",
-                        e.request.lbn
-                    ))
-                })?;
-            let bi = owners[i];
+            // Under QueuedSptf every backend reports a request's index in
+            // the submitted batch as its admission rank.
+            let bi = *owners.get(e.admission_rank).ok_or_else(|| {
+                ServerError::Config(format!(
+                    "device reported admission rank {} for a batch of {} requests",
+                    e.admission_rank,
+                    reqs.len()
+                ))
+            })?;
             let tenant = batch[bi].req.tenant;
             record_classified_event(&mut state.reports[tenant].metrics, *tr, e);
             state.reports[tenant].disk_requests += 1;
@@ -505,6 +494,18 @@ mod tests {
         let b = run();
         assert!(a.identical(&b));
         assert_eq!(a.to_json(), b.to_json());
+    }
+
+    #[test]
+    fn report_json_escapes_tenant_names() {
+        let mut s = scenario(FairnessPolicy::Fifo);
+        s.tenants[0].name = "a\"b\nc".into();
+        let report = serve_scenario(&volume(), &mapping(), &s).unwrap();
+        let text = report.to_json().to_pretty();
+        let parsed = multimap_telemetry::json::parse(&text).unwrap();
+        let tenants = parsed.get("tenants").and_then(|t| t.as_arr()).unwrap();
+        assert_eq!(tenants[0].get("name").and_then(|n| n.as_str()), Some("a\"b\nc"));
+        assert_eq!(parsed, report.to_json());
     }
 
     #[test]

@@ -2,12 +2,10 @@
 //!
 //! Both prongs (the layout invariant prover and the source lint) reduce
 //! to a [`Report`]: a list of named checks, each with a [`Verdict`].
-//! Reports serialize to JSON (via the conformance crate's writer) so CI
+//! Reports serialize to JSON (via `multimap_telemetry::json`) so CI
 //! can archive them, and `is_clean` drives the process exit code.
 
-use std::collections::BTreeMap;
-
-use multimap_conformance::json::Value;
+use multimap_telemetry::json::{obj, Value};
 
 /// Outcome of one invariant check or lint rule on one subject.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -114,45 +112,35 @@ impl Report {
     /// Render as a JSON document.
     pub fn to_json(&self) -> Value {
         let (proved, violated, skipped) = self.tallies();
-        let mut root = BTreeMap::new();
-        let mut summary = BTreeMap::new();
-        summary.insert("proved".into(), Value::Num(proved as f64));
-        summary.insert("violated".into(), Value::Num(violated as f64));
-        summary.insert("skipped".into(), Value::Num(skipped as f64));
-        summary.insert("clean".into(), Value::Bool(self.is_clean()));
-        root.insert("summary".into(), Value::Obj(summary));
-        let checks = self
-            .outcomes
-            .iter()
-            .map(|o| {
-                let mut m = BTreeMap::new();
-                m.insert("invariant".into(), Value::Str(o.invariant.clone()));
-                m.insert("subject".into(), Value::Str(o.subject.clone()));
-                m.insert("config".into(), Value::Str(o.config.clone()));
-                let (status, extra) = match &o.verdict {
-                    Verdict::Proved { method } => ("proved", ("method", method.clone(), None)),
-                    Verdict::Violated { details } => {
-                        ("violated", ("details", String::new(), Some(details)))
-                    }
-                    Verdict::Skipped { reason } => ("skipped", ("reason", reason.clone(), None)),
-                };
-                m.insert("status".into(), Value::Str(status.into()));
-                match extra {
-                    (key, _, Some(details)) => {
-                        m.insert(
-                            key.into(),
-                            Value::Arr(details.iter().cloned().map(Value::Str).collect()),
-                        );
-                    }
-                    (key, text, None) => {
-                        m.insert(key.into(), Value::Str(text));
-                    }
+        let checks = self.outcomes.iter().map(|o| {
+            let (status, detail) = match &o.verdict {
+                Verdict::Proved { method } => ("proved", ("method", method.as_str().into())),
+                Verdict::Violated { details } => {
+                    let witnesses = details.iter().map(|d| d.as_str().into()).collect();
+                    ("violated", ("details", Value::Arr(witnesses)))
                 }
-                Value::Obj(m)
-            })
-            .collect();
-        root.insert("checks".into(), Value::Arr(checks));
-        Value::Obj(root)
+                Verdict::Skipped { reason } => ("skipped", ("reason", reason.as_str().into())),
+            };
+            obj([
+                ("invariant", o.invariant.as_str().into()),
+                ("subject", o.subject.as_str().into()),
+                ("config", o.config.as_str().into()),
+                ("status", status.into()),
+                detail,
+            ])
+        });
+        obj([
+            (
+                "summary",
+                obj([
+                    ("proved", proved.into()),
+                    ("violated", violated.into()),
+                    ("skipped", skipped.into()),
+                    ("clean", self.is_clean().into()),
+                ]),
+            ),
+            ("checks", Value::Arr(checks.collect())),
+        ])
     }
 
     /// One-line-per-check human summary; violations list their witnesses.
@@ -221,7 +209,7 @@ mod tests {
             },
         );
         let text = r.to_json().to_pretty();
-        let back = multimap_conformance::json::parse(&text).unwrap();
+        let back = multimap_telemetry::json::parse(&text).unwrap();
         assert_eq!(back.get("summary").unwrap().get("clean"), Some(&Value::Bool(false)));
         assert_eq!(back.get("checks").unwrap().as_arr().unwrap().len(), 2);
         let rendered = r.render_text();

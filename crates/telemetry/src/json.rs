@@ -1,9 +1,9 @@
-//! Minimal JSON reader/writer for golden-trace files.
+//! Minimal JSON reader/writer, the workspace's only one.
 //!
-//! The vendored serde stand-in has no serializer, so the golden-trace
-//! harness carries its own: a small [`Value`] tree, a strict parser, and
-//! a writer that prints `f64`s with Rust's shortest round-trip `Display`
-//! so written files parse back bit-identical.
+//! The vendored serde stand-in has no serializer, so every report is
+//! built as a [`Value`] tree, printed with sorted keys and `f64`s in
+//! Rust's shortest round-trip `Display` (files parse back
+//! bit-identical), and compared after [`parse`].
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -17,6 +17,11 @@ pub enum Value {
     Bool(bool),
     /// Any JSON number (parsed as `f64`).
     Num(f64),
+    /// An integer that `f64` cannot hold exactly (a 64-bit checksum,
+    /// say). Integers an `f64` holds exactly are always `Num`, so every
+    /// number has one representation and parsing printed output gives
+    /// back an equal tree.
+    U64(u64),
     /// A string (no escape sequences beyond the JSON basics).
     Str(String),
     /// An array.
@@ -30,6 +35,7 @@ impl Value {
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Value::Num(n) => Some(*n),
+            Value::U64(n) => Some(*n as f64),
             _ => None,
         }
     }
@@ -38,9 +44,10 @@ impl Value {
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             // staticcheck: allow(float-cmp) — exact integrality test: fract() of an integral f64 is exactly 0.0.
-            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => {
+            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < 2f64.powi(64) => {
                 Some(*n as u64)
             }
+            Value::U64(n) => Some(*n),
             _ => None,
         }
     }
@@ -69,6 +76,23 @@ impl Value {
         }
     }
 
+    /// The member at a dotted `path` (`"telemetry.phases_ms"`).
+    pub fn at(&self, path: &str) -> Option<&Value> {
+        path.split('.').try_fold(self, |v, key| v.get(key))
+    }
+
+    /// `x` rounded through its `{:.places$}` text, so a report keeps
+    /// the precision it prints a figure with. No figure (`None`) and a
+    /// non-finite one (which JSON cannot represent) are `null`.
+    pub fn fixed(x: impl Into<Option<f64>>, places: usize) -> Value {
+        match x.into() {
+            Some(x) if x.is_finite() => {
+                format!("{x:.places$}").parse().map_or(Value::Null, Value::Num)
+            }
+            _ => Value::Null,
+        }
+    }
+
     /// Serialize with 2-space indentation and sorted object keys.
     pub fn to_pretty(&self) -> String {
         let mut out = String::new();
@@ -85,6 +109,9 @@ impl Value {
                 let _ = write!(out, "{b}");
             }
             Value::Num(n) => write_number(out, *n),
+            Value::U64(n) => {
+                let _ = write!(out, "{n}");
+            }
             Value::Str(s) => write_string(out, s),
             Value::Arr(items) => {
                 if items.is_empty() {
@@ -118,11 +145,47 @@ impl Value {
     }
 }
 
+impl From<bool> for Value {
+    fn from(b: bool) -> Value {
+        Value::Bool(b)
+    }
+}
+
+impl From<u64> for Value {
+    fn from(n: u64) -> Value {
+        let x = n as f64;
+        if x < 2f64.powi(64) && x as u64 == n {
+            Value::Num(x)
+        } else {
+            Value::U64(n)
+        }
+    }
+}
+
+impl From<usize> for Value {
+    fn from(n: usize) -> Value {
+        Value::from(n as u64)
+    }
+}
+
+impl From<&str> for Value {
+    fn from(s: &str) -> Value {
+        Value::Str(s.to_string())
+    }
+}
+
+/// An object from `(key, value)` pairs.
+pub fn obj<'a>(members: impl IntoIterator<Item = (&'a str, Value)>) -> Value {
+    Value::Obj(members.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+}
+
 /// Numbers print via Rust's shortest-round-trip `Display`, so parsing
-/// the output recovers the exact bit pattern.
+/// the output recovers the exact bit pattern. From 2^53 on every f64 is
+/// an integer and `Display` pads its shortest digits with zeros (2^60 as
+/// 1152921504606847000, another integer), so those print exact digits.
 fn write_number(out: &mut String, n: f64) {
-    debug_assert!(n.is_finite(), "golden traces never contain NaN/inf");
-    let _ = write!(out, "{n}");
+    debug_assert!(n.is_finite(), "JSON has no NaN/inf: build them as null");
+    let _ = if n.abs() >= 2f64.powi(53) { write!(out, "{n:.0}") } else { write!(out, "{n}") };
 }
 
 fn write_string(out: &mut String, s: &str) {
@@ -233,6 +296,9 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
                 *pos += 1;
             }
             let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
+            if let Ok(n) = text.parse::<u64>() {
+                return Ok(Value::from(n));
+            }
             text.parse::<f64>()
                 .map(Value::Num)
                 .map_err(|e| format!("bad number '{text}' at byte {start}: {e}"))
@@ -333,6 +399,47 @@ mod tests {
         let v = Value::Obj(m);
         let text = v.to_pretty();
         assert_eq!(parse(&text).unwrap(), v);
+    }
+
+    #[test]
+    fn printed_strings_always_parse_back() {
+        let nasty = [
+            "a\"b\nc",
+            "back\\slash \"quoted\"",
+            "tab\tcr\rnul\u{0}bell\u{7}esc\u{1b}del\u{7f}",
+            "non-ASCII: \u{e9}t\u{e9} \u{3bb} \u{1f980} \u{2028}",
+            "",
+        ];
+        // Every character below U+0100, and each string as a key too.
+        let all_low: String = (0u32..0x100).filter_map(char::from_u32).collect();
+        for s in nasty.iter().copied().chain([all_low.as_str()]) {
+            let v = obj([("name", s.into()), ("tenants", Value::Arr(vec![obj([(s, true.into())])]))]);
+            let text = v.to_pretty();
+            assert_eq!(parse(&text), Ok(v), "{s:?} printed as {text}");
+        }
+    }
+
+    #[test]
+    fn wide_integers_stay_exact() {
+        for n in [0, 7, 1 << 53, (1 << 53) + 1, 1 << 60, 8_976_405_457_991_974_104, u64::MAX] {
+            let v = Value::from(n);
+            assert_eq!(v.as_u64(), Some(n));
+            assert_eq!(v.to_pretty().trim(), n.to_string());
+            assert_eq!(parse(&v.to_pretty()), Ok(v));
+        }
+        // Integers an f64 holds exactly have the one `Num` form.
+        assert_eq!(Value::from(1u64 << 60), Value::Num(2f64.powi(60)));
+        assert_eq!(parse("1152921504606846976"), Ok(Value::Num(2f64.powi(60))));
+    }
+
+    #[test]
+    fn fixed_rounds_through_the_printed_text() {
+        assert_eq!(Value::fixed(0.75004, 4), Value::Num(0.75));
+        assert_eq!(Value::fixed(2.0 / 3.0, 3), Value::Num(0.667));
+        assert_eq!(Value::fixed(12.5, 0), parse("12").unwrap());
+        assert_eq!(Value::fixed(f64::INFINITY, 2), Value::Null);
+        assert_eq!(Value::fixed(f64::NAN, 2), Value::Null);
+        assert_eq!(Value::fixed(None, 2), Value::Null);
     }
 
     #[test]

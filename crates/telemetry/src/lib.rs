@@ -21,6 +21,9 @@
 //!   returns results), so the merged totals — including every f64 sum —
 //!   are identical at any thread count.
 //!
+//! [`json`] is the workspace's one JSON reader and writer; every report
+//! is built as a [`json::Value`].
+//!
 //! See `docs/observability.md` for the determinism rules and the
 //! `BENCH_pr5.json` field reference.
 
@@ -28,6 +31,7 @@
 #![deny(missing_docs)]
 
 mod hist;
+pub mod json;
 mod metrics;
 mod registry;
 

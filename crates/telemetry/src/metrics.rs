@@ -1,8 +1,7 @@
 //! The sink trait, counters, phases, spans and the default accumulator.
 
-use std::fmt::Write as _;
-
 use crate::hist::Histogram;
+use crate::json::{obj, Value};
 
 /// Minimum lookups a hit/miss pair needs before its rate is reported:
 /// below this, [`Metrics::hit_rate_floored`] answers `None` and reports
@@ -447,96 +446,60 @@ impl Metrics {
             && self.service.identical(&other.service)
     }
 
-    /// Render as a JSON object (two-space indent, stable field order).
-    pub fn to_json(&self, indent: usize) -> String {
-        let pad = " ".repeat(indent);
-        let inner = " ".repeat(indent + 2);
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "{inner}\"counters\": {{");
-        for (i, c) in Counter::ALL.iter().enumerate() {
-            let comma = if i + 1 < Counter::ALL.len() { "," } else { "" };
-            let _ = writeln!(
-                out,
-                "{inner}  \"{}\": {}{comma}",
-                c.name(),
-                self.counter_value(*c)
-            );
-        }
-        let _ = writeln!(out, "{inner}}},");
-        let _ = writeln!(out, "{inner}\"hit_rates\": {{");
-        let rate = |r: Option<f64>| match r {
-            Some(v) => format!("{v:.4}"),
-            None => "null".to_string(),
+    /// The accumulator as a JSON object (rates to 4 decimals, histogram
+    /// figures to 6, span wall times to 3). A rate with no lookups (or,
+    /// for the translation cache, too few: [`Metrics::hit_rate_floored`])
+    /// and an empty histogram's mean and max are `null`, not a fake 0.0.
+    pub fn to_json(&self) -> Value {
+        let hist = |h: &Histogram| {
+            let measured = |x: f64| Value::fixed((h.count() > 0).then_some(x), 6);
+            obj([
+                ("count", h.count().into()),
+                ("sum", Value::fixed(h.sum_ms(), 6)),
+                ("mean", measured(h.mean_ms())),
+                ("max", measured(h.max_ms())),
+                ("buckets", Value::Arr(h.counts().iter().map(|&c| c.into()).collect())),
+            ])
         };
-        let _ = writeln!(
-            out,
-            "{inner}  \"seek_memo\": {},",
-            rate(self.hit_rate(Counter::SeekMemoHit, Counter::SeekMemoMiss))
-        );
-        // Low-volume pairs render as null (n/a): see `hit_rate_floored`.
-        let _ = writeln!(
-            out,
-            "{inner}  \"translation_cache\": {},",
-            rate(self.hit_rate_floored(Counter::TranslationCacheHit, Counter::TranslationCacheMiss))
-        );
-        let _ = writeln!(
-            out,
-            "{inner}  \"page_cache\": {},",
-            rate(self.hit_rate(Counter::PageCacheHit, Counter::PageCacheMiss))
-        );
-        let _ = writeln!(
-            out,
-            "{inner}  \"cache_prefetch\": {}",
-            rate(self.prefetch_efficiency())
-        );
-        let _ = writeln!(out, "{inner}}},");
-        let _ = writeln!(out, "{inner}\"phases_ms\": {{");
-        for (i, p) in Phase::ALL.iter().enumerate() {
-            let comma = if i + 1 < Phase::ALL.len() { "," } else { "" };
-            let _ = writeln!(
-                out,
-                "{inner}  \"{}\": {}{comma}",
-                p.name(),
-                hist_json(self.phase_hist(*p))
-            );
-        }
-        let _ = writeln!(out, "{inner}}},");
-        let _ = writeln!(out, "{inner}\"service_ms\": {},", hist_json(&self.service));
-        let _ = writeln!(out, "{inner}\"spans_wall_ms\": {{");
-        for (i, s) in Span::ALL.iter().enumerate() {
-            let comma = if i + 1 < Span::ALL.len() { "," } else { "" };
-            let st = self.span_stat(*s);
-            let _ = writeln!(
-                out,
-                "{inner}  \"{}\": {{\"count\": {}, \"wall_ms\": {:.3}}}{comma}",
-                s.name(),
-                st.count,
-                st.wall_ms
-            );
-        }
-        let _ = writeln!(out, "{inner}}}");
-        let _ = write!(out, "{pad}}}");
-        out
+        obj([
+            (
+                "counters",
+                obj(Counter::ALL.iter().map(|&c| (c.name(), self.counter_value(c).into()))),
+            ),
+            (
+                "hit_rates",
+                obj([
+                    ("seek_memo", self.hit_rate(Counter::SeekMemoHit, Counter::SeekMemoMiss)),
+                    (
+                        "translation_cache",
+                        self.hit_rate_floored(
+                            Counter::TranslationCacheHit,
+                            Counter::TranslationCacheMiss,
+                        ),
+                    ),
+                    ("page_cache", self.hit_rate(Counter::PageCacheHit, Counter::PageCacheMiss)),
+                    ("cache_prefetch", self.prefetch_efficiency()),
+                ]
+                .map(|(name, rate)| (name, Value::fixed(rate, 4)))),
+            ),
+            (
+                "phases_ms",
+                obj(Phase::ALL.iter().map(|&p| (p.name(), hist(self.phase_hist(p))))),
+            ),
+            ("service_ms", hist(&self.service)),
+            (
+                "spans_wall_ms",
+                obj(Span::ALL.iter().map(|&s| {
+                    let st = self.span_stat(s);
+                    let stat = obj([
+                        ("count", st.count.into()),
+                        ("wall_ms", Value::fixed(st.wall_ms, 3)),
+                    ]);
+                    (s.name(), stat)
+                })),
+            ),
+        ])
     }
-}
-
-fn hist_json(h: &Histogram) -> String {
-    let buckets: Vec<String> = h.counts().iter().map(|c| c.to_string()).collect();
-    // An empty histogram has no measurements: `mean` and `max` render
-    // as null rather than a fake 0.0 reading, matching the
-    // `hit_rate_floored` n/a convention (`sum` stays 0.0 — an exact
-    // total over zero observations is a real quantity).
-    let (mean, max) = if h.count() == 0 {
-        ("null".to_string(), "null".to_string())
-    } else {
-        (format!("{:.6}", h.mean_ms()), format!("{:.6}", h.max_ms()))
-    };
-    format!(
-        "{{\"count\": {}, \"sum\": {:.6}, \"mean\": {mean}, \"max\": {max}, \"buckets\": [{}]}}",
-        h.count(),
-        h.sum_ms(),
-        buckets.join(", ")
-    )
 }
 
 impl MetricsSink for Metrics {
@@ -621,24 +584,31 @@ mod tests {
         m.counter(Counter::RequestsServiced, 7);
         m.phase(Phase::Seek, 3.2);
         m.service_time(3.2);
-        let j = m.to_json(0);
-        assert!(j.contains("\"requests_serviced\": 7"));
-        assert!(j.contains("\"seek\""));
-        assert!(j.contains("\"translation_cache\": null"));
-        assert!(j.contains("\"spans_wall_ms\""));
+        let j = m.to_json();
+        assert_eq!(j.at("counters.requests_serviced"), Some(&Value::Num(7.0)));
+        assert!(j.at("phases_ms.seek").is_some() && j.at("spans_wall_ms").is_some());
+        assert_eq!(j.at("hit_rates.translation_cache"), Some(&Value::Null));
+        // The rendered text is valid JSON that reads back to the same tree.
+        assert_eq!(crate::json::parse(&j.to_pretty()), Ok(j));
     }
 
     #[test]
     fn empty_histograms_render_null_mean_and_max() {
         let mut m = Metrics::new();
         m.phase(Phase::Seek, 3.2);
-        let j = m.to_json(0);
+        let j = m.to_json();
         // The recorded phase carries real measurements...
-        assert!(j.contains("\"seek\": {\"count\": 1, \"sum\": 3.200000, \"mean\": 3.200000, \"max\": 3.200000"));
+        assert_eq!(j.at("phases_ms.seek.count"), Some(&Value::Num(1.0)));
+        for stat in ["sum", "mean", "max"] {
+            assert_eq!(j.at(&format!("phases_ms.seek.{stat}")), Some(&Value::Num(3.2)));
+        }
         // ...while untouched histograms report n/a, not a fake 0.0
         // reading (the hit_rate_floored convention).
-        assert!(j.contains("\"rotation\": {\"count\": 0, \"sum\": 0.000000, \"mean\": null, \"max\": null"));
-        assert!(j.contains("\"service_ms\": {\"count\": 0, \"sum\": 0.000000, \"mean\": null, \"max\": null"));
+        for h in ["phases_ms.rotation", "service_ms"] {
+            let stat = |s: &str| j.at(&format!("{h}.{s}")).cloned();
+            assert_eq!([stat("count"), stat("sum")], [Some(Value::Num(0.0)), Some(Value::Num(0.0))]);
+            assert_eq!([stat("mean"), stat("max")], [Some(Value::Null), Some(Value::Null)]);
+        }
     }
 
     #[test]
@@ -649,7 +619,7 @@ mod tests {
         assert!(m
             .hit_rate_floored(Counter::TranslationCacheHit, Counter::TranslationCacheMiss)
             .is_none());
-        assert!(m.to_json(0).contains("\"translation_cache\": null"));
+        assert_eq!(m.to_json().at("hit_rates.translation_cache"), Some(&Value::Null));
         m.counter(Counter::TranslationCacheMiss, HIT_RATE_FLOOR);
         let r = m
             .hit_rate_floored(Counter::TranslationCacheHit, Counter::TranslationCacheMiss)
@@ -674,16 +644,16 @@ mod tests {
     #[test]
     fn page_cache_rates_render_in_json() {
         let mut m = Metrics::new();
-        assert!(m.to_json(0).contains("\"page_cache\": null"));
-        assert!(m.to_json(0).contains("\"cache_prefetch\": null"));
+        let at = |m: &Metrics, path| m.to_json().at(path).cloned();
+        assert_eq!(at(&m, "hit_rates.page_cache"), Some(Value::Null));
+        assert_eq!(at(&m, "hit_rates.cache_prefetch"), Some(Value::Null));
         m.counter(Counter::PageCacheHit, 3);
         m.counter(Counter::PageCacheMiss, 1);
         m.counter(Counter::CachePrefetchIssued, 4);
         m.counter(Counter::CachePrefetchUsed, 1);
-        let j = m.to_json(0);
-        assert!(j.contains("\"page_cache\": 0.7500"), "{j}");
-        assert!(j.contains("\"cache_prefetch\": 0.2500"), "{j}");
-        assert!(j.contains("\"writeback_flush\": 0"));
+        assert_eq!(at(&m, "hit_rates.page_cache"), Some(Value::Num(0.75)));
+        assert_eq!(at(&m, "hit_rates.cache_prefetch"), Some(Value::Num(0.25)));
+        assert_eq!(at(&m, "counters.writeback_flush"), Some(Value::Num(0.0)));
         assert!((m.prefetch_efficiency().unwrap() - 0.25).abs() < 1e-12);
     }
 

@@ -1,11 +1,13 @@
 //! The process-wide registry: labelled sections collected off the hot
 //! path, plus the global enable gate.
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
 use parking_lot::Mutex;
 
+use crate::json::Value;
 use crate::metrics::Metrics;
 
 /// Whether telemetry collection is on (default: on). The gate is
@@ -50,11 +52,6 @@ impl Registry {
         self.sections.lock().push((label.into(), metrics));
     }
 
-    /// Snapshot all sections in recording order.
-    pub fn sections(&self) -> Vec<(String, Metrics)> {
-        self.sections.lock().clone()
-    }
-
     /// Merge every section, in recording order, into one accumulator.
     pub fn merged(&self) -> Metrics {
         let sections = self.sections.lock();
@@ -71,35 +68,22 @@ impl Registry {
         self.sections.lock().is_empty()
     }
 
-    /// Render all sections as one JSON object keyed by label (repeated
-    /// labels get a `#n` suffix to stay valid JSON).
-    pub fn to_json(&self) -> String {
+    /// All sections as one JSON object keyed by label (repeated labels
+    /// get a `#n` suffix so no section is lost).
+    pub fn to_json(&self) -> Value {
         let sections = self.sections.lock();
-        let mut out = String::from("{\n");
-        let mut seen: Vec<&str> = Vec::new();
+        let mut out = BTreeMap::new();
         for (i, (label, metrics)) in sections.iter().enumerate() {
-            let dups = seen.iter().filter(|&&l| l == label).count();
-            seen.push(label);
+            let dups = sections[..i].iter().filter(|(l, _)| l == label).count();
             let key = if dups == 0 {
                 label.clone()
             } else {
                 format!("{label}#{dups}")
             };
-            let comma = if i + 1 < sections.len() { "," } else { "" };
-            out.push_str(&format!(
-                "  \"{}\": {}{}\n",
-                json_escape(&key),
-                metrics.to_json(2),
-                comma
-            ));
+            out.insert(key, metrics.to_json());
         }
-        out.push('}');
-        out
+        Value::Obj(out)
     }
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 /// The process-wide registry the figure generators and the perf smoke
@@ -124,11 +108,10 @@ mod tests {
         b.counter(Counter::PrefetchHit, 2);
         reg.record("first", a);
         reg.record("second", b);
-        assert_eq!(reg.sections().len(), 2);
         assert_eq!(reg.merged().counter_value(Counter::PrefetchHit), 3);
         let json = reg.to_json();
-        assert!(json.contains("\"first\""));
-        assert!(json.contains("\"second\""));
+        assert!(json.get("first").is_some());
+        assert!(json.get("second").is_some());
         reg.clear();
         assert!(reg.is_empty());
     }
@@ -138,9 +121,11 @@ mod tests {
         let reg = Registry::new();
         reg.record("fig", Metrics::new());
         reg.record("fig", Metrics::new());
+        reg.record("fig", Metrics::new());
         let json = reg.to_json();
-        assert!(json.contains("\"fig\""));
-        assert!(json.contains("\"fig#1\""));
+        assert!(json.get("fig").is_some());
+        assert!(json.get("fig#1").is_some());
+        assert!(json.get("fig#2").is_some());
     }
 
     #[test]
